@@ -7,11 +7,12 @@ expectation values combine into unbiased (U-statistic) or plugin estimates
 of the stabilizer purity W and the purity P; averaging over words and taking
 log2(P / (W d)) gives the stabilizer 2-Renyi entropy.
 
-The U-statistic path converts shot counts to subset sums with a Walsh-
-Hadamard transform and evaluates the elementary symmetric polynomials e2/e4
-of the +-1 shot signs through Newton's identities, which is algebraically
-identical to (and vastly cheaper than) summing over all distinct shot
-quadruples.
+Estimation holds an experiment as one (U, 2**n) count array, one row per
+word, and runs one fast Walsh-Hadamard transform over all of it.  The
+U-statistic path turns the transformed counts (subset sign sums) into the
+elementary symmetric polynomials e2/e4 of the +-1 shot signs through
+Newton's identities, which is algebraically identical to (and vastly
+cheaper than) summing over all distinct shot quadruples.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .cliffords import N_CLIFFORD, clifford_element
 from .noise import NoiseParams, phase_gate, prep_channel, readout_channel
-from .oracle import subset_weights, walsh_z_expectations, word_statistics
+from .oracle import subset_moments, walsh_z_expectations
 from .states import StateVector, apply_local_unitaries, sample_counts
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "ExperimentData",
     "EstimateReport",
     "counts_vector",
+    "word_estimates",
     "plugin_word_estimates",
     "ustat_word_estimates",
     "estimate",
@@ -52,12 +54,12 @@ class ShotRecord:
         n = len(self.clifford_ids)
         if n == 0:
             raise ValueError("empty Clifford word")
-        if any(not 0 <= c < N_CLIFFORD for c in self.clifford_ids):
-            raise ValueError("Clifford id outside [0, 24)")
+        if not all(type(c) is int and 0 <= c < N_CLIFFORD for c in self.clifford_ids):
+            raise ValueError("Clifford ids must be integers in [0, 24)")
         for bits, count in self.counts.items():
-            if len(bits) != n or set(bits) - {"0", "1"}:
+            if len(bits) != n or bits.strip("01"):
                 raise ValueError(f"bad bitstring {bits!r} for {n} qubits")
-            if not isinstance(count, int) or count <= 0:
+            if type(count) is not int or count <= 0:
                 raise ValueError(f"count for {bits!r} must be a positive integer")
 
     @property
@@ -111,90 +113,84 @@ class EstimateReport:
 
 def counts_vector(counts: dict[str, int], n: int) -> np.ndarray:
     """Dense outcome-count vector (length 2**n) from a sparse counts dict."""
-    vec = np.zeros(2**n, dtype=np.int64)
-    for bits, count in counts.items():
-        if len(bits) != n or set(bits) - {"0", "1"}:
+    for bits in counts:
+        if len(bits) != n or bits.strip("01"):
             raise ValueError(f"bad bitstring {bits!r} for {n} qubits")
-        vec[int(bits, 2)] += count
+    vec = np.zeros(2**n, dtype=np.int64)
+    vec[[int(bits, 2) for bits in counts]] = list(counts.values())
     return vec
 
 
+def word_estimates(
+    counts: np.ndarray, n: int, method: str = "ustat"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-word (W_C, P_C) for every row (word) of a (U, 2**n) count array.
+
+    'plugin' plugs the empirical frequencies into the subset-moment formulas
+    (biased).  'ustat' is unbiased: per subset mask A the +-1 shot signs have
+    sum S (a Walsh-Hadamard component of the counts) and power sums
+    p_k = S (k odd) / N (k even); Newton's identities give the elementary
+    symmetric polynomials e2 = (S^2 - N)/2 and
+    e4 = (S^4 - 6 S^2 N + 8 S^2 + 3 N^2 - 6 N)/24, and e4/C(N,4), e2/C(N,2)
+    are the unbiased moment estimators over distinct shot quadruples/pairs.
+    """
+    if method not in ("ustat", "plugin"):
+        raise ValueError(f"unknown method {method!r}; use 'ustat' or 'plugin'")
+    counts = np.asarray(counts)
+    nn = counts.sum(axis=-1, keepdims=True)
+    need = 4 if method == "ustat" else 1
+    short = np.flatnonzero(nn < need)
+    if short.size:
+        raise ValueError(
+            f"unit {short[0]} has {nn[short[0], 0]} shots; {method} estimates "
+            f"need at least {need} shots per word"
+        )
+    if method == "plugin":
+        z2 = walsh_z_expectations(counts / nn, n) ** 2
+        return subset_moments(z2, z2 * z2, n)
+    s2 = walsh_z_expectations(counts, n) ** 2
+    pairs = nn * (nn - 1.0)
+    e4 = s2 * s2 - 6.0 * s2 * nn + 8.0 * s2 + 3.0 * nn * nn - 6.0 * nn
+    return subset_moments((s2 - nn) / pairs, e4 / (pairs * (nn - 2.0) * (nn - 3.0)), n)
+
+
 def plugin_word_estimates(vec: np.ndarray, n: int) -> tuple[float, float]:
-    """Biased plugin (W_C, P_C) from one word's counts: empirical frequencies
-    plugged straight into the subset-moment formulas."""
-    total = int(vec.sum())
-    if total < 1:
-        raise ValueError("record has no shots")
-    return word_statistics(vec / total, n)
+    """Biased plugin (W_C, P_C) from one word's counts: one row of word_estimates."""
+    w_c, p_c = word_estimates(np.asarray(vec)[None, :], n, "plugin")
+    return float(w_c[0]), float(p_c[0])
 
 
 def ustat_word_estimates(vec: np.ndarray, n: int) -> tuple[float, float]:
-    """Unbiased (W_C, P_C) from one word's counts.
-
-    Per subset mask A, the shot signs are +-1 with sum S (a Walsh-Hadamard
-    component of the counts) and power sums p_k = S (k odd) / N (k even), so
-    Newton's identities give the elementary symmetric polynomials
-        e2 = (S^2 - N)/2,
-        e4 = (S^4 - 6 S^2 N + 8 S^2 + 3 N^2 - 6 N)/24,
-    and e4/C(N,4), e2/C(N,2) are the unbiased fourth- and second-moment
-    estimators over distinct shot quadruples/pairs.
-    """
-    total = int(vec.sum())
-    if total < 4:
-        raise ValueError("unbiased estimates need at least 4 shots per word")
-    s = walsh_z_expectations(vec.astype(float), n)
-    nn = float(total)
-    s2 = s * s
-    e2 = (s2 - nn) / 2.0
-    e4 = (s2 * s2 - 6.0 * s2 * nn + 8.0 * s2 + 3.0 * nn * nn - 6.0 * nn) / 24.0
-    weights = subset_weights(n)
-    pairs = math.comb(total, 2)
-    quads = math.comb(total, 4)
-    p_c = float(weights @ (e2 / pairs)) / 2**n
-    w_c = float(weights @ (e4 / quads)) / 4**n
-    return w_c, p_c
+    """Unbiased (W_C, P_C) from one word's counts: one row of word_estimates."""
+    w_c, p_c = word_estimates(np.asarray(vec)[None, :], n, "ustat")
+    return float(w_c[0]), float(p_c[0])
 
 
 def estimate(data: ExperimentData, method: str = "ustat") -> EstimateReport:
-    """Combine per-word estimates into point estimates with standard errors."""
-    if method not in ("ustat", "plugin"):
-        raise ValueError(f"unknown method {method!r}; use 'ustat' or 'plugin'")
+    """Combine per-word estimates, taken as one (U, 2**n) batch by
+    ``word_estimates``, into point estimates with standard errors."""
     if not data.records:
         raise ValueError("no records to estimate from")
-    per_word = ustat_word_estimates if method == "ustat" else plugin_word_estimates
-    w_vals = []
-    p_vals = []
-    shots = []
-    for record in data.records:
-        vec = counts_vector(record.counts, data.n)
-        w_c, p_c = per_word(vec, data.n)
-        w_vals.append(w_c)
-        p_vals.append(p_c)
-        shots.append(int(vec.sum()))
-    w_arr = np.array(w_vals)
-    p_arr = np.array(p_vals)
-    n_units = len(w_vals)
+    counts = np.stack([counts_vector(r.counts, data.n) for r in data.records])
+    w_arr, p_arr = word_estimates(counts, data.n, method)
+    n_units = len(w_arr)
     w_est = float(w_arr.mean())
     p_est = float(p_arr.mean())
+    w_err = p_err = None
     if n_units >= 2:
         w_err = float(w_arr.std(ddof=1) / math.sqrt(n_units))
         p_err = float(p_arr.std(ddof=1) / math.sqrt(n_units))
-    else:
-        w_err = p_err = None
     negative = w_est <= 0.0
-    if negative or p_est <= 0.0:
-        m2 = m2_err = None
-    else:
+    m2 = m2_err = None
+    if not negative and p_est > 0.0:
         m2 = math.log2(p_est / (w_est * 2**data.n))
         if w_err is not None:
             m2_err = math.hypot(w_err / w_est, p_err / p_est) / math.log(2)
-        else:
-            m2_err = None
     return EstimateReport(
         method=method,
         n=data.n,
         n_units=n_units,
-        shots=tuple(shots),
+        shots=tuple(counts.sum(axis=1).tolist()),
         stab_purity=w_est,
         stab_purity_err=w_err,
         purity=p_est,
@@ -202,8 +198,8 @@ def estimate(data: ExperimentData, method: str = "ustat") -> EstimateReport:
         stab_renyi2=m2,
         stab_renyi2_err=m2_err,
         negative_stab_purity=negative,
-        per_word_stab_purity=tuple(w_vals),
-        per_word_purity=tuple(p_vals),
+        per_word_stab_purity=tuple(w_arr.tolist()),
+        per_word_purity=tuple(p_arr.tolist()),
     )
 
 

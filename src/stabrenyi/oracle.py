@@ -4,7 +4,8 @@ Everything here is dense linear algebra on at most a few thousand
 amplitudes: Pauli expectation tables, the stabilizer purity
 W(rho) = d^{-2} sum_P tr(P rho)^4, stabilizer Renyi entropies M_alpha,
 state purity, and a brute-force average of the randomized-measurement
-protocol over every local Clifford word (tractable for n <= 3).
+protocol over every local Clifford word (tractable for n <= 3), built on
+one batched fast Walsh-Hadamard transform.
 
 Results are deterministic: reductions run in fixed index order.
 """
@@ -16,7 +17,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .cliffords import N_CLIFFORD
 from .states import (
@@ -40,6 +40,7 @@ __all__ = [
     "haar_random_state",
     "walsh_z_expectations",
     "subset_weights",
+    "subset_moments",
     "word_statistics",
 ]
 
@@ -191,43 +192,45 @@ def subset_weights(n: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _hadamard_matrix(n: int) -> np.ndarray:
-    out = hadamard(2**n, dtype=float)
-    out.setflags(write=False)
+def walsh_z_expectations(values: np.ndarray, n: int) -> np.ndarray:
+    """<Z_A> for every subset A: the fast Walsh-Hadamard transform of outcome
+    probabilities (or counts, giving subset sign sums) along the last axis of
+    a (..., 2**n) array.  A float copy is transformed in place by n butterfly
+    stages, O(n 2**n) per row, in Sylvester order (entry A carries the signs
+    (-1)^{|A & s|}); integer inputs transform exactly."""
+    out = np.array(values, dtype=float)
+    if out.shape[-1:] != (2**n,):
+        raise ValueError(f"last axis must have length 2**{n}, got shape {out.shape}")
+    for bit in range(n):
+        low, high = np.moveaxis(out.reshape(*out.shape[:-1], -1, 2, 2**bit), -2, 0)
+        low[...], high[...] = low + high, low - high
     return out
 
 
-def walsh_z_expectations(probs: np.ndarray, n: int) -> np.ndarray:
-    """<Z_A> for every subset A at once: the Walsh-Hadamard transform of the
-    outcome distribution.  Row A of the Sylvester Hadamard matrix carries
-    exactly the signs (-1)^{|A & s|}."""
-    return _hadamard_matrix(n) @ np.asarray(probs, dtype=float)
+def subset_moments(
+    z2: np.ndarray, z4: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(W_C, P_C) = (4^{-n} sum_A 3^{|A|} z4_A, 2^{-n} sum_A 3^{|A|} z2_A) along
+    the last axis, from per-subset values z2 ~ <Z_A>^2 and z4 ~ <Z_A>^4.  Each
+    row is reduced on its own: a word gives the same bits alone or batched."""
+    weights = subset_weights(n)
+    return (z4 * weights).sum(axis=-1) / 4**n, (z2 * weights).sum(axis=-1) / 2**n
 
 
 def word_statistics(probs: np.ndarray, n: int) -> tuple[float, float]:
-    """Per-word protocol statistics (W_C, P_C) from outcome probabilities.
-
-    W_C = 4^{-n} sum_A 3^{|A|} <Z_A>^4 and P_C = 2^{-n} sum_A 3^{|A|} <Z_A>^2,
-    with <Z_A> read off the Walsh spectrum of the distribution.
-    """
-    weights = subset_weights(n)
-    z = walsh_z_expectations(probs, n)
-    w_c = float(weights @ z**4) / 4**n
-    p_c = float(weights @ z**2) / 2**n
-    return w_c, p_c
+    """Per-word protocol statistics (W_C, P_C) from outcome probabilities,
+    with <Z_A> read off the Walsh spectrum of the distribution."""
+    z2 = walsh_z_expectations(probs, n) ** 2
+    w_c, p_c = subset_moments(z2, z2 * z2, n)
+    return float(w_c), float(p_c)
 
 
 def exact_protocol_value(
     state: StateVector | MixedState, quantity: str = "stab_purity"
 ) -> float:
-    """Average the protocol statistic over all 24**n local Clifford words.
-
-    Per word C the statistic is the weighted Walsh spectrum of the rotated
-    outcome distribution: W_C = 4^{-n} sum_A 3^{|A|} <Z_A>^4 and
-    P_C = 2^{-n} sum_A 3^{|A|} <Z_A>^2.  Exhaustive enumeration is capped at
-    n <= 3 (13824 words).
-    """
+    """Average the protocol statistic (``word_statistics``) over all 24**n
+    local Clifford words, as one batch.  Exhaustive enumeration is capped at
+    n <= 3 (13824 words)."""
     if quantity not in ("stab_purity", "purity"):
         raise ValueError("quantity must be 'stab_purity' or 'purity'")
     n = state.n
@@ -236,17 +239,14 @@ def exact_protocol_value(
             f"exhaustive enumeration limited to n <= {MAX_ENUMERATION_QUBITS}"
         )
     mixture = as_mixture(state)
-    total = 0.0
-    count = 0
-    for ids in itertools.product(range(N_CLIFFORD), repeat=n):
+    probs = np.zeros((N_CLIFFORD**n, 2**n))
+    for row, ids in zip(probs, itertools.product(range(N_CLIFFORD), repeat=n)):
         word = CliffordWord(ids=ids)
-        probs = np.zeros(2**n)
         for w_k, psi in mixture.terms:
-            probs += w_k * np.abs(apply_local_cliffords(psi, word).amplitudes) ** 2
-        w_c, p_c = word_statistics(probs, n)
-        total += w_c if quantity == "stab_purity" else p_c
-        count += 1
-    return total / count
+            row += w_k * np.abs(apply_local_cliffords(psi, word).amplitudes) ** 2
+    z2 = walsh_z_expectations(probs, n) ** 2
+    w_c, p_c = subset_moments(z2, z2 * z2, n)
+    return float(np.mean(w_c if quantity == "stab_purity" else p_c))
 
 
 def haar_random_state(n: int, seed: int | np.random.Generator) -> StateVector:

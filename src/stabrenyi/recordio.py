@@ -75,6 +75,11 @@ def write_records(data: ExperimentData, path_or_file: str | Path | IO[str]) -> N
             handle.close()
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer; booleans are ints to Python but not to this format."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_json_line(line: str, lineno: int) -> dict[str, Any]:
     try:
         obj = json.loads(line)
@@ -103,23 +108,23 @@ def read_records(path_or_file: str | Path | IO[str]) -> ExperimentData:
             f"line {header_no}: header format {header.get('format')!r} is not "
             f"{RECORD_FORMAT!r}"
         )
-    if header.get("format_version") != FORMAT_VERSION:
+    version = header.get("format_version")
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise RecordFormatError(
-            f"line {header_no}: unsupported format_version "
-            f"{header.get('format_version')!r}"
+            f"line {header_no}: unsupported format_version {version!r}"
         )
     if header.get("bit_order", BIT_ORDER) != BIT_ORDER:
         raise RecordFormatError(
             f"line {header_no}: unsupported bit_order {header.get('bit_order')!r}"
         )
     n = header.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise RecordFormatError(f"line {header_no}: n must be a positive integer")
     label = header.get("state_label")
     if not isinstance(label, str) or not label:
         raise RecordFormatError(f"line {header_no}: state_label must be a string")
     seed = header.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and not _is_int(seed):
         raise RecordFormatError(f"line {header_no}: seed must be an integer")
     records = []
     for lineno, text in lines[1:]:
@@ -134,7 +139,7 @@ def read_records(path_or_file: str | Path | IO[str]) -> ExperimentData:
         if (
             not isinstance(ids, list)
             or len(ids) != n
-            or any(not isinstance(c, int) for c in ids)
+            or not all(_is_int(c) for c in ids)
         ):
             raise RecordFormatError(
                 f"line {lineno}: clifford_ids must be {n} integers"

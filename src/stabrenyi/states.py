@@ -13,6 +13,7 @@ diag(1, e^{i theta}) (T is P(pi/4)), CX with explicit control/target, and the
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -315,6 +316,12 @@ def outcome_distribution(state: StateVector | MixedState) -> np.ndarray:
     return probs / total
 
 
+@functools.lru_cache(maxsize=None)
+def _bit_labels(n: int) -> tuple[str, ...]:
+    """Bitstring of every outcome index, msb-first, in index order."""
+    return tuple(format(idx, f"0{n}b") for idx in range(2**n))
+
+
 def sample_counts(
     probs: np.ndarray, n_shots: int, seed: int | np.random.Generator
 ) -> dict[str, int]:
@@ -330,9 +337,9 @@ def sample_counts(
         raise ValueError("probs must be a probability distribution")
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
-    n = probs.size.bit_length() - 1
+    labels = _bit_labels(probs.size.bit_length() - 1)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     draws = rng.multinomial(n_shots, np.clip(probs, 0.0, None) / probs.sum())
-    return {
-        format(idx, f"0{n}b"): int(c) for idx, c in enumerate(draws) if c > 0
-    }
+    hit = np.flatnonzero(draws)
+    return dict(zip(map(labels.__getitem__, hit.tolist()), draws[hit].tolist()))
+

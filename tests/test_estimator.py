@@ -143,6 +143,10 @@ class TestRecords:
             ShotRecord(clifford_ids=(0,), counts={"0": 0})
         with pytest.raises(ValueError):
             ShotRecord(clifford_ids=(0,), counts={"0": 1.5})
+        with pytest.raises(ValueError):
+            ShotRecord(clifford_ids=(True,), counts={"0": 1})
+        with pytest.raises(ValueError):
+            ShotRecord(clifford_ids=(0,), counts={"0": True})
 
     def test_n_shots(self):
         rec = ShotRecord(clifford_ids=(0, 1), counts={"00": 3, "11": 2})
@@ -219,6 +223,21 @@ class TestEstimate:
             estimate(data, method="plugin").stab_purity
             > estimate(data, method="ustat").stab_purity
         )
+
+
+    @pytest.mark.parametrize(
+        "method, short_counts, fragment",
+        [
+            ("ustat", {"0": 2, "1": 1}, "unit 2 has 3 shots"),
+            ("plugin", {}, "unit 2 has 0 shots"),
+        ],
+    )
+    def test_short_word_names_its_unit(self, method, short_counts, fragment):
+        ok = ShotRecord(clifford_ids=(0,), counts={"0": 3, "1": 2})
+        short = ShotRecord(clifford_ids=(5,), counts=short_counts)
+        data = ExperimentData(n=1, state_label="x", records=(ok, ok, short, short))
+        with pytest.raises(ValueError, match=fragment):
+            estimate(data, method=method)
 
 
 class TestWordOutcomeProbs:

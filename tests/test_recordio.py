@@ -158,6 +158,43 @@ class TestRecordErrors:
         lines[1] = "[1, 2, 3]"
         self._expect("\n".join(lines), "expected a JSON object")
 
+    @pytest.mark.parametrize(
+        "field, value, fragment",
+        [
+            ("n", True, "line 1: n must be a positive integer"),
+            ("seed", False, "line 1: seed must be an integer"),
+            ("format_version", True, "line 1: unsupported format_version"),
+        ],
+    )
+    def test_boolean_header_integers_rejected(self, field, value, fragment):
+        lines = self._lines()
+        header = json.loads(lines[0])
+        header[field] = value
+        lines[0] = json.dumps(header)
+        self._expect("\n".join(lines), fragment)
+
+    @pytest.mark.parametrize(
+        "record, fragment",
+        [
+            ('{"clifford_ids": [true, 0], "counts": {"00": 4}}', "line 3: clifford"),
+            ('{"clifford_ids": [0, 1], "counts": {"00": true}}', "line 3: count"),
+        ],
+    )
+    def test_boolean_record_integers_rejected(self, record, fragment):
+        lines = self._lines()
+        lines[2] = record
+        self._expect("\n".join(lines), fragment)
+
+    def test_all_boolean_file_does_not_load(self):
+        # Every integer slot holds a JSON boolean; Python's bool is an int
+        # subclass, so this file once loaded and estimated a purity.
+        text = (
+            '{"format": "rm-records", "format_version": 1, "n": true, '
+            '"seed": false, "state_label": "x", "bit_order": "msb-first"}\n'
+            '{"clifford_ids": [true], "counts": {"0": true}}\n'
+        )
+        self._expect(text, "line 1")
+
 
 class TestReports:
     def _doc(self, verbose=False):
