@@ -1,16 +1,20 @@
-"""Frozen sha256 digests of ``stabrenyi simulate`` record files.
+"""Frozen sha256 digests of ``stabrenyi simulate`` record files and of a
+``stabrenyi calibrate`` report.
 
 For a fixed seed a record file must stay byte-identical: the Clifford words,
 the RNG draws, the count keys and their order, and the JSON layout all feed
 the digest.  Any change to the simulator, the sampler or the writer that
-moves a single byte fails here.  The digests were taken from the package
-before the estimation path was batched; the gamma-12 seed-2022 digest is the
-one the benchmark pins for its ``wide_estimate`` workload.
+moves a single byte fails here.  The first six digests were taken from the
+package before the estimation path was batched, the noisy gamma 5-6 record
+and the calibrate report before the word probabilities were batched; the
+gamma-12 seed-2022 digest is the one the benchmark pins for its
+``wide_estimate`` workload.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -52,7 +56,17 @@ GOLDEN_RECORDS = [
          "--seed", "2022"],
         "8ef0f072b3694302ed1e89370214d5bc494d3a57490665d6346fdaf376be92fa",
     ),
+    (
+        "gamma 5-6 noisy, all prep terms",
+        ["--state", "gamma", "--n", "5", "--t", "6", "--nu", "20", "--nm", "80",
+         "--seed", "13", "--noise", "0.85,0.95,0.3"],
+        "cb4a3121fdc0f82ffac1677cffe33a7a85b58d0009277d91a4e4a9493315386f",
+    ),
 ]
+
+#: gamma 3-4 on a 2x2 grid, 3 trials, plugin: every cell's spread and purity
+#: deviation, and the selected cell, are pinned to the byte.
+CALIBRATE_DIGEST = "6063cb3be0f2a31a435bd05749d18e3e395537f9a7b7c677e3c01e880d6ca8c9"
 
 
 @pytest.mark.parametrize(
@@ -63,3 +77,14 @@ def test_simulate_record_bytes_are_frozen(tmp_path, argv, digest):
     out = tmp_path / "records.jsonl"
     assert main(["simulate", *argv, "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_calibrate_report_bytes_are_frozen(tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"unit_grid": [8, 16], "shot_grid": [32, 64]}))
+    out = tmp_path / "report.json"
+    argv = ["calibrate", "--state", "gamma", "--n", "3", "--t", "4",
+            "--grid", str(grid), "--trials", "3", "--seed", "17",
+            "--method", "plugin", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CALIBRATE_DIGEST
