@@ -38,10 +38,13 @@ from .oracle import (
 from .recordio import (
     BIT_ORDER,
     RecordFormatError,
+    _is_int,
     noise_fit_section,
     read_records,
     report_from_estimate,
+    report_header,
     write_records,
+    write_report,
 )
 from .states import StateVector, gamma_state, plus_state, ptheta_state, zero_state
 
@@ -124,13 +127,7 @@ def _parse_noise(spec: str | None) -> NoiseParams:
 
 
 def _emit(doc: Any, out: str | None) -> None:
-    if out is None or out == "-":
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    write_report(doc, sys.stdout if out in (None, "-") else out)
 
 
 def _parse_alpha(token: str) -> float:
@@ -163,17 +160,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     data = simulate_experiment(
         state, args.nu, args.nm, seed=args.seed, noise=noise, state_label=label
     )
-    if args.out is None or args.out == "-":
-        write_records(data, sys.stdout)
-    else:
-        write_records(data, args.out)
+    write_records(data, sys.stdout if args.out in (None, "-") else args.out)
     return EXIT_OK
 
 
 def _read_records_arg(path: str):
-    if path == "-":
-        return read_records(sys.stdin)
-    return read_records(path)
+    return read_records(sys.stdin if path == "-" else path)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -211,14 +203,20 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         units, shots = default_unit_grid(), default_shot_grid()
     else:
         with open(args.grid, encoding="utf-8") as handle:
-            spec = json.load(handle)
-        try:
-            units = tuple(int(u) for u in spec["unit_grid"])
-            shots = tuple(int(s) for s in spec["shot_grid"])
-        except (KeyError, TypeError) as exc:
-            raise RecordFormatError(
-                "grid file needs integer arrays unit_grid and shot_grid"
-            ) from exc
+            try:
+                spec = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise RecordFormatError(
+                    f"grid file {args.grid}: invalid JSON ({exc.msg})"
+                ) from exc
+        units, shots = (spec.get(key) if isinstance(spec, dict) else None
+                        for key in ("unit_grid", "shot_grid"))
+        for grid in (units, shots):
+            if not isinstance(grid, list) or not grid or not all(
+                _is_int(v) and v > 0 for v in grid
+            ):
+                raise RecordFormatError(f"grid file {args.grid} needs arrays "
+                                        "unit_grid and shot_grid of positive integers")
     cells = grid_search(
         state,
         units,
@@ -228,28 +226,20 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         method=args.method,
         reference=args.reference,
     )
-    doc: dict[str, Any] = {
-        "format": "rm-report",
-        "format_version": 1,
-        "package_version": __version__,
-        "n": state.n,
-        "state_label": label,
-        "method": args.method,
-        "seed": args.seed,
-        "calibration": {
-            "trials": args.trials,
-            "reference": args.reference,
-            "cells": [
-                {
-                    "n_units": c.n_units,
-                    "n_shots": c.n_shots,
-                    "delta": c.delta,
-                    "purity_dev": c.purity_dev,
-                    "cost": c.cost,
-                }
-                for c in cells
-            ],
-        },
+    doc = report_header(state.n, label, args.method, args.seed)
+    doc["calibration"] = {
+        "trials": args.trials,
+        "reference": args.reference,
+        "cells": [
+            {
+                "n_units": c.n_units,
+                "n_shots": c.n_shots,
+                "delta": c.delta,
+                "purity_dev": c.purity_dev,
+                "cost": c.cost,
+            }
+            for c in cells
+        ],
     }
     try:
         best = select_optimal(cells)

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cliffords import N_CLIFFORD, clifford_element
+from .cliffords import CLIFFORD_1Q, N_CLIFFORD
 from .noise import NoiseParams, phase_gate, prep_channel, readout_channel
-from .oracle import subset_moments, walsh_z_expectations
-from .states import StateVector, apply_local_unitaries, sample_counts
+from .oracle import subset_moments, walsh_z_expectations, word_statistics
+from .states import CliffordWord, StateVector, _apply_local, sample_counts
 
 __all__ = [
     "ShotRecord",
@@ -41,6 +41,10 @@ __all__ = [
     "variance_bound",
     "bernstein_tail",
 ]
+
+#: Amplitudes one block of simulated units may hold (units x 2**n), so the
+#: batched word probabilities stay in a small working set at every n.
+_BLOCK_AMPLITUDES = 2**15
 
 
 @dataclass(frozen=True)
@@ -146,8 +150,7 @@ def word_estimates(
             f"need at least {need} shots per word"
         )
     if method == "plugin":
-        z2 = walsh_z_expectations(counts / nn, n) ** 2
-        return subset_moments(z2, z2 * z2, n)
+        return word_statistics(counts / nn, n)
     s2 = walsh_z_expectations(counts, n) ** 2
     pairs = nn * (nn - 1.0)
     e4 = s2 * s2 - 6.0 * s2 * nn + 8.0 * s2 + 3.0 * nn * nn - 6.0 * nn
@@ -203,6 +206,22 @@ def estimate(data: ExperimentData, method: str = "ustat") -> EstimateReport:
     )
 
 
+def _word_probs(
+    state: StateVector, outer: np.ndarray, inner: np.ndarray | None, noise: NoiseParams
+) -> np.ndarray:
+    """``word_outcome_probs`` of U units at once, bit for bit: (U, n) outer
+    (and, when eps != 0, inner) Clifford ids give (U, 2**n) distributions."""
+    mats = CLIFFORD_1Q[outer]
+    if noise.epsilon != 0.0:
+        mats = (mats @ phase_gate(noise.epsilon)) @ CLIFFORD_1Q[inner]
+    probs = np.zeros((len(outer), 2**state.n))
+    for weight, term in prep_channel(state, noise.p).terms:
+        probs += weight * np.abs(_apply_local(term.amplitudes, mats)) ** 2
+    if noise.q != 1.0:
+        probs = readout_channel(probs, noise.q)
+    return probs
+
+
 def word_outcome_probs(
     state: StateVector,
     outer_ids: tuple[int, ...],
@@ -213,26 +232,12 @@ def word_outcome_probs(
     """Exact outcome distribution for one measurement unit under the noise
     model: dephasing preparation, per-qubit unitary outer . phase(eps) . inner
     (plain outer Clifford when eps = 0), then readout bit flips."""
-    n = state.n
-    if len(outer_ids) != n:
+    if len(outer_ids) != state.n:
         raise ValueError("word length must equal qubit count")
-    if noise.epsilon != 0.0:
-        if inner_ids is None or len(inner_ids) != n:
-            raise ValueError("a nonzero displacement needs an inner Clifford word")
-        p_eps = phase_gate(noise.epsilon)
-        mats = [
-            clifford_element(o) @ p_eps @ clifford_element(i)
-            for o, i in zip(outer_ids, inner_ids)
-        ]
-    else:
-        mats = [clifford_element(o) for o in outer_ids]
-    probs = np.zeros(2**n)
-    for weight, term in prep_channel(state, noise.p).terms:
-        amps = apply_local_unitaries(term, mats).amplitudes
-        probs += weight * np.abs(amps) ** 2
-    if noise.q != 1.0:
-        probs = readout_channel(probs, noise.q)
-    return probs
+    if noise.epsilon != 0.0 and (inner_ids is None or len(inner_ids) != state.n):
+        raise ValueError("a nonzero displacement needs an inner Clifford word")
+    inner = np.array([CliffordWord(inner_ids).ids]) if noise.epsilon != 0.0 else None
+    return _word_probs(state, np.array([CliffordWord(outer_ids).ids]), inner, noise)[0]
 
 
 def simulate_experiment(
@@ -247,23 +252,33 @@ def simulate_experiment(
     """Sample a full randomized-measurement data set.
 
     Each measurement unit k draws from its own deterministic substream
-    (SeedSequence(seed, spawn_key=(k,))): first the recorded Clifford word,
-    then -- only when the displacement is nonzero -- the hidden inner word,
-    then the multinomial shot counts.  The noiseless configuration is
-    therefore bit-identical to NoiseParams(1, 1, 0).
+    (SeedSequence(seed, spawn_key=(k,))).  Units run in blocks of at most
+    ``_BLOCK_AMPLITUDES / 2**n``, each block in three passes: (1) every unit
+    draws its recorded Clifford word, then -- only when the displacement is
+    nonzero -- its hidden inner word; (2) one batched call gives every
+    unit's outcome distribution, row for row equal to ``word_outcome_probs``;
+    (3) every unit, in order, draws its multinomial shot counts.  Each
+    substream thus sees the draws of a unit simulated alone, and the
+    noiseless configuration is bit-identical to NoiseParams(1, 1, 0).
     """
     if n_units < 1 or n_shots < 1:
         raise ValueError("need at least one unit and one shot")
+    n = state.n
+    block = max(1, _BLOCK_AMPLITUDES >> n)
     records = []
-    for k in range(n_units):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-        outer = tuple(int(c) for c in rng.integers(0, N_CLIFFORD, size=state.n))
+    for start in range(0, n_units, block):
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+            for k in range(start, min(start + block, n_units))
+        ]
+        outer = np.array([rng.integers(0, N_CLIFFORD, size=n) for rng in rngs])
         inner = None
         if noise.epsilon != 0.0:
-            inner = tuple(int(c) for c in rng.integers(0, N_CLIFFORD, size=state.n))
-        probs = word_outcome_probs(state, outer, inner_ids=inner, noise=noise)
-        counts = sample_counts(probs, n_shots, rng)
-        records.append(ShotRecord(clifford_ids=outer, counts=counts))
+            inner = np.array([rng.integers(0, N_CLIFFORD, size=n) for rng in rngs])
+        probs = _word_probs(state, outer, inner, noise)
+        for rng, ids, row in zip(rngs, outer.tolist(), probs):
+            counts = sample_counts(row, n_shots, rng)
+            records.append(ShotRecord(clifford_ids=tuple(ids), counts=counts))
     return ExperimentData(
         n=state.n, state_label=state_label, records=tuple(records), seed=seed
     )

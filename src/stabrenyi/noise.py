@@ -26,6 +26,7 @@ from scipy.optimize import brentq
 
 from .cliffords import CLIFFORD_1Q, N_CLIFFORD
 from .oracle import (
+    _PAULIS_1Q,
     pauli_table,
     purity_exact,
     stab_purity_exact,
@@ -34,6 +35,7 @@ from .oracle import (
 from .states import (
     MixedState,
     StateVector,
+    _apply_1q,
     as_mixture,
     pauli_z_on,
 )
@@ -116,14 +118,6 @@ class SmallOperator:
         object.__setattr__(self, "matrix", mat)
 
 
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
 def _kron_power(mat: np.ndarray, k: int) -> np.ndarray:
     out = mat
     for _ in range(k - 1):
@@ -181,25 +175,25 @@ T_FOURCYCLE_SUM = _CLASS_SUMS[(4,)]
 
 def q1_projector() -> SmallOperator:
     """Q1 = (1/4)(I^{x4} + X^{x4} + Y^{x4} + Z^{x4}) on four copies."""
-    mat = sum(_kron_power(_PAULI_1Q[s], 4) for s in "IXYZ") / 4.0
+    mat = sum(_kron_power(sigma, 4) for sigma in _PAULIS_1Q) / 4.0
     return SmallOperator(k=4, matrix=mat)
 
 
 def t1_projector() -> SmallOperator:
     """T1 = (1/2)(I^{x2} + X^{x2} + Y^{x2} + Z^{x2}) on two copies (= swap)."""
-    mat = sum(_kron_power(_PAULI_1Q[s], 2) for s in "IXYZ") / 2.0
+    mat = sum(_kron_power(sigma, 2) for sigma in _PAULIS_1Q) / 2.0
     return SmallOperator(k=2, matrix=mat)
 
 
 def o4_hat() -> SmallOperator:
     """Diagonal single-qubit weight operator (1/4) I^{x4} + (3/4) Z^{x4}."""
-    mat = 0.25 * np.eye(16) + 0.75 * _kron_power(_PAULI_1Q["Z"], 4)
+    mat = 0.25 * np.eye(16) + 0.75 * _kron_power(_PAULIS_1Q[3], 4)
     return SmallOperator(k=4, matrix=mat)
 
 
 def o2_hat() -> SmallOperator:
     """Diagonal single-qubit weight operator (1/2) I^{x2} + (3/2) Z^{x2}."""
-    mat = 0.5 * np.eye(4) + 1.5 * _kron_power(_PAULI_1Q["Z"], 2)
+    mat = 0.5 * np.eye(4) + 1.5 * _kron_power(_PAULIS_1Q[3], 2)
     return SmallOperator(k=2, matrix=mat)
 
 
@@ -282,27 +276,25 @@ def prep_purity(state: StateVector, p: float) -> float:
 
 
 def readout_channel(probs: np.ndarray, q: float) -> np.ndarray:
-    """Dress an outcome distribution with independent per-qubit bit flips.
+    """Dress outcome distributions with independent per-qubit bit flips.
 
     Each bit is read faithfully with probability q and flipped with
-    probability 1-q.
+    probability 1-q.  ``probs`` is one distribution (length 2**n) or a
+    (..., 2**n) stack of them; a row gets the same bits alone or stacked.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q={q} outside [0, 1]")
     probs = np.asarray(probs, dtype=float)
-    size = probs.size
+    size = probs.shape[-1] if probs.ndim else 0
     if size == 0 or (size & (size - 1)):
-        raise ValueError("probs must have length 2**n")
+        raise ValueError("probs must have length 2**n along its last axis")
+    if np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-12):
+        raise ValueError("each distribution in probs must sum to 1")
     n = size.bit_length() - 1
     flip = np.array([[q, 1.0 - q], [1.0 - q, q]])
-    out = probs.reshape([2] * n)
     for qubit in range(n):
-        out = np.moveaxis(
-            np.tensordot(flip, np.moveaxis(out, qubit, 0), axes=([1], [0])), 0, qubit
-        )
-    out = out.reshape(-1)
-    assert abs(float(out.sum()) - 1.0) < 1e-12, "readout map must preserve normalization"
-    return out
+        probs = _apply_1q(probs, n, flip, qubit)
+    return probs
 
 
 def _apply_16_at(vec: np.ndarray, n: int, op16: np.ndarray, qubit: int) -> np.ndarray:
@@ -511,33 +503,19 @@ def protocol_average_1q(
 ) -> tuple[float, float]:
     """Exact single-qubit protocol averages (W, P) under the full noise pair
     (epsilon, q): enumerate all 24x24 (recorded, hidden) Clifford pairs with
-    the displacement between them and dress outcomes with readout flips."""
+    the displacement between them, as one batch of 576 words, dress outcomes
+    with readout flips, and sum the per-word statistics in enumeration order."""
     if state.n != 1:
         raise ValueError("exact displaced enumeration is single-qubit only")
-    p_eps = phase_gate(epsilon)
-    w_total = 0.0
-    p_total = 0.0
-    for outer in CLIFFORD_1Q:
-        for inner in CLIFFORD_1Q:
-            u = outer @ p_eps @ inner
-            amps = u @ state.amplitudes
-            probs = np.abs(amps) ** 2
-            if q != 1.0:
-                probs = readout_channel(probs, q)
-            w_c, p_c = word_statistics(probs, 1)
-            w_total += w_c
-            p_total += p_c
+    outer = np.repeat(CLIFFORD_1Q, N_CLIFFORD, axis=0)
+    inner = np.tile(CLIFFORD_1Q, (N_CLIFFORD, 1, 1))
+    mats = (outer @ phase_gate(epsilon)) @ inner
+    probs = np.abs(_apply_1q(state.amplitudes, 1, mats, 0)) ** 2
+    if q != 1.0:
+        probs = readout_channel(probs, q)
+    w_c, p_c = word_statistics(probs, 1)
     count = N_CLIFFORD**2
-    return w_total / count, p_total / count
-
-
-def _pauli_string_index(string: str, n: int) -> int:
-    if len(string) != n or any(ch not in "IXYZ" for ch in string):
-        raise ValueError(f"Pauli string {string!r} must be {n} chars over IXYZ")
-    idx = 0
-    for ch in string:
-        idx = idx * 4 + "IXYZ".index(ch)
-    return idx
+    return float(np.cumsum(w_c)[-1]) / count, float(np.cumsum(p_c)[-1]) / count
 
 
 def haar_channel_stats(

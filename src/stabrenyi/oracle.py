@@ -18,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cliffords import N_CLIFFORD
-from .states import (
-    CliffordWord,
-    MixedState,
-    StateVector,
-    apply_local_cliffords,
-    as_mixture,
-)
+from .cliffords import CLIFFORD_1Q, N_CLIFFORD
+from .states import MixedState, StateVector, _apply_local, as_mixture
 
 __all__ = [
     "PauliTable",
@@ -217,12 +211,12 @@ def subset_moments(
     return (z4 * weights).sum(axis=-1) / 4**n, (z2 * weights).sum(axis=-1) / 2**n
 
 
-def word_statistics(probs: np.ndarray, n: int) -> tuple[float, float]:
-    """Per-word protocol statistics (W_C, P_C) from outcome probabilities,
-    with <Z_A> read off the Walsh spectrum of the distribution."""
+def word_statistics(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-word protocol statistics (W_C, P_C) of every outcome distribution
+    along the last axis of a (..., 2**n) array, with <Z_A> read off its Walsh
+    spectrum; one distribution gives two scalars."""
     z2 = walsh_z_expectations(probs, n) ** 2
-    w_c, p_c = subset_moments(z2, z2 * z2, n)
-    return float(w_c), float(p_c)
+    return subset_moments(z2, z2 * z2, n)
 
 
 def exact_protocol_value(
@@ -238,14 +232,11 @@ def exact_protocol_value(
         raise ValueError(
             f"exhaustive enumeration limited to n <= {MAX_ENUMERATION_QUBITS}"
         )
-    mixture = as_mixture(state)
+    mats = CLIFFORD_1Q[list(itertools.product(range(N_CLIFFORD), repeat=n))]
     probs = np.zeros((N_CLIFFORD**n, 2**n))
-    for row, ids in zip(probs, itertools.product(range(N_CLIFFORD), repeat=n)):
-        word = CliffordWord(ids=ids)
-        for w_k, psi in mixture.terms:
-            row += w_k * np.abs(apply_local_cliffords(psi, word).amplitudes) ** 2
-    z2 = walsh_z_expectations(probs, n) ** 2
-    w_c, p_c = subset_moments(z2, z2 * z2, n)
+    for w_k, psi in as_mixture(state).terms:
+        probs += w_k * np.abs(_apply_local(psi.amplitudes, mats)) ** 2
+    w_c, p_c = word_statistics(probs, n)
     return float(np.mean(w_c if quantity == "stab_purity" else p_c))
 
 

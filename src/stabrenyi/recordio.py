@@ -16,6 +16,7 @@ calibration table.  Reports survive a write/read round trip losslessly.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import IO, Any
 
@@ -28,6 +29,7 @@ __all__ = [
     "BIT_ORDER",
     "write_records",
     "read_records",
+    "report_header",
     "report_from_estimate",
     "noise_fit_section",
     "write_report",
@@ -81,8 +83,15 @@ def _is_int(value: Any) -> bool:
 
 
 def _parse_json_line(line: str, lineno: int) -> dict[str, Any]:
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, c in Counter(k for k, _ in pairs).items() if c > 1)
+            raise RecordFormatError(f"line {lineno}: repeated key {key!r}")
+        return obj
+
     try:
-        obj = json.loads(line)
+        obj = json.loads(line, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise RecordFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
     if not isinstance(obj, dict):
@@ -158,6 +167,21 @@ def read_records(path_or_file: str | Path | IO[str]) -> ExperimentData:
     return ExperimentData(n=n, state_label=label, records=tuple(records), seed=seed)
 
 
+def report_header(
+    n: int, state_label: str, method: str, seed: int | None
+) -> dict[str, Any]:
+    """The fields every report document starts with."""
+    return {
+        "format": REPORT_FORMAT,
+        "format_version": FORMAT_VERSION,
+        "package_version": __version__,
+        "n": n,
+        "state_label": state_label,
+        "method": method,
+        "seed": seed,
+    }
+
+
 def report_from_estimate(
     report: EstimateReport,
     state_label: str,
@@ -166,14 +190,8 @@ def report_from_estimate(
     verbose: bool = False,
 ) -> dict[str, Any]:
     """Build the JSON-ready report document for an estimation run."""
-    doc: dict[str, Any] = {
-        "format": REPORT_FORMAT,
-        "format_version": FORMAT_VERSION,
-        "package_version": __version__,
-        "n": report.n,
-        "state_label": state_label,
-        "method": report.method,
-        "seed": seed,
+    doc = report_header(report.n, state_label, report.method, seed)
+    doc.update({
         "resources": {
             "n_units": report.n_units,
             "shots_per_unit": list(report.shots),
@@ -188,7 +206,7 @@ def report_from_estimate(
             "stab_renyi2_err": report.stab_renyi2_err,
             "negative_stab_purity": report.negative_stab_purity,
         },
-    }
+    })
     if verbose:
         doc["per_word"] = {
             "stab_purity": list(report.per_word_stab_purity),

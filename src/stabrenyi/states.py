@@ -171,11 +171,24 @@ class CliffordWord:
 
 
 def _apply_1q(amps: np.ndarray, n: int, gate: np.ndarray, qubit: int) -> np.ndarray:
-    """Apply a 2x2 gate to one qubit of a dense amplitude vector."""
-    tensor = amps.reshape([2] * n)
-    moved = np.moveaxis(tensor, qubit, 0)
-    out = np.tensordot(gate, moved, axes=([1], [0]))
-    return np.moveaxis(out, 0, qubit).reshape(-1)
+    """The package's one kernel: apply a 2x2 operator along one qubit axis
+    of a (..., 2**n) array.  ``gate`` is (2, 2), or (..., 2, 2) with one
+    operator per row, broadcast against the batch axes of ``amps``.  Each row
+    is copied, qubit axis first, to a contiguous (2, rest) block for one
+    ``np.matmul``, so a row gets the same bits alone or batched."""
+    moved = np.moveaxis(amps.reshape(*amps.shape[:-1], *[2] * n), qubit - n, -n)
+    out = np.matmul(gate, moved.reshape(*amps.shape[:-1], 2, -1))
+    batch = out.shape[:-2]
+    return np.moveaxis(out.reshape(*batch, *[2] * n), -n, qubit - n).reshape(*batch, -1)
+
+
+def _apply_local(amps: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Apply ``mats[..., i, :, :]`` to qubit i of each row of a (..., 2**n)
+    array, qubit 0 first; mats is (..., n, 2, 2)."""
+    n = mats.shape[-3]
+    for qubit in range(n):
+        amps = _apply_1q(amps, n, mats[..., qubit, :, :], qubit)
+    return amps
 
 
 def _apply_cx(amps: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
@@ -208,21 +221,15 @@ def apply_local_cliffords(state: StateVector, word: CliffordWord) -> StateVector
     """Apply one single-qubit Clifford per qubit (a local basis rotation)."""
     if word.n != state.n:
         raise ValueError("word length must equal qubit count")
-    amps = state.amplitudes
-    for qubit, cid in enumerate(word.ids):
-        if cid != 0:
-            amps = _apply_1q(amps, state.n, CLIFFORD_1Q[cid], qubit)
-    return StateVector(n=state.n, amplitudes=amps)
+    return apply_local_unitaries(state, CLIFFORD_1Q[list(word.ids)])
 
 
 def apply_local_unitaries(state: StateVector, mats) -> StateVector:
     """Apply an arbitrary 2x2 unitary to each qubit (one matrix per qubit)."""
-    if len(mats) != state.n:
+    mats = np.asarray(mats, dtype=complex)
+    if mats.shape != (state.n, 2, 2):
         raise ValueError("need exactly one 2x2 matrix per qubit")
-    amps = state.amplitudes
-    for qubit, mat in enumerate(mats):
-        amps = _apply_1q(amps, state.n, np.asarray(mat, dtype=complex), qubit)
-    return StateVector(n=state.n, amplitudes=amps)
+    return StateVector(n=state.n, amplitudes=_apply_local(state.amplitudes, mats))
 
 
 def pauli_z_on(state: StateVector, qubit: int) -> StateVector:

@@ -280,6 +280,33 @@ class TestCalibrateCommand:
         assert code == EXIT_DATA
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps({"unit_grid": [True, 3.7], "shot_grid": [32]}),
+            json.dumps({"unit_grid": [8], "shot_grid": [0]}),
+            json.dumps({"unit_grid": [-8], "shot_grid": [32]}),
+            json.dumps({"unit_grid": [], "shot_grid": [32]}),
+            json.dumps({"unit_grid": 8, "shot_grid": [32]}),
+            json.dumps([[8], [32]]),
+            '{"unit_grid": [8], "shot_grid": [32',
+        ],
+        ids=["bool-and-float", "zero", "negative", "empty", "scalar", "list",
+             "invalid-json"],
+    )
+    def test_invalid_grid_file_is_a_data_error(self, capsys, tmp_path, text):
+        grid = tmp_path / "grid.json"
+        grid.write_text(text)
+        code = main([
+            "calibrate", "--state", "zero", "--n", "1",
+            "--grid", str(grid), "--trials", "3", "--seed", "0",
+        ])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"grid file {grid}" in captured.err
+
+
 class TestPredictCommand:
     def test_matches_library(self, capsys):
         from stabrenyi.noise import predict_noisy_observables

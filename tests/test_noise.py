@@ -174,6 +174,13 @@ class TestReadoutChannel:
         with pytest.raises(ValueError):
             readout_channel(np.array([1.0, 0.0]), 1.2)
 
+    def test_rejects_rows_that_are_not_distributions(self):
+        # Checked on input with a raise, so it holds under python -O too.
+        with pytest.raises(ValueError, match="sum to 1"):
+            readout_channel(np.array([[0.5, 0.5], [0.6, 0.6]]), 0.9)
+        with pytest.raises(ValueError, match="sum to 1"):
+            readout_channel(np.array([0.5, 0.5 + 1e-10]), 0.9)
+
 
 class TestWEpsilon:
     def test_zero_displacement_delegates_to_exact(self):

@@ -185,6 +185,31 @@ class TestRecordErrors:
         lines[2] = record
         self._expect("\n".join(lines), fragment)
 
+    @pytest.mark.parametrize(
+        "record, fragment",
+        [
+            (
+                '{"clifford_ids": [0, 1], "counts": {"00": 3, "00": 5, "11": 1}}',
+                "line 3: repeated key '00'",
+            ),
+            (
+                '{"clifford_ids": [0, 1], "counts": {"00": 4}, "clifford_ids": [2, 3]}',
+                "line 3: repeated key 'clifford_ids'",
+            ),
+        ],
+    )
+    def test_repeated_keys_rejected(self, record, fragment):
+        # json.loads keeps the last value of a repeated key, so such a line
+        # once loaded as a different word or with fewer shots.
+        lines = self._lines()
+        lines[2] = record
+        self._expect("\n".join(lines), fragment)
+
+    def test_repeated_header_key_rejected(self):
+        lines = self._lines()
+        lines[0] = lines[0][:-1] + ', "n": 3}'
+        self._expect("\n".join(lines), "line 1: repeated key 'n'")
+
     def test_all_boolean_file_does_not_load(self):
         # Every integer slot holds a JSON boolean; Python's bool is an int
         # subclass, so this file once loaded and estimated a purity.
