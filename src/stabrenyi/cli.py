@@ -209,8 +209,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
                 raise RecordFormatError(
                     f"grid file {args.grid}: invalid JSON ({exc.msg})"
                 ) from exc
-        units, shots = (spec.get(key) if isinstance(spec, dict) else None
-                        for key in ("unit_grid", "shot_grid"))
+        spec = spec if isinstance(spec, dict) else {}
+        units, shots = spec.get("unit_grid"), spec.get("shot_grid")
         for grid in (units, shots):
             if not isinstance(grid, list) or not grid or not all(
                 _is_int(v) and v > 0 for v in grid

@@ -25,7 +25,7 @@ import numpy as np
 from .cliffords import CLIFFORD_1Q, N_CLIFFORD
 from .noise import NoiseParams, phase_gate, prep_channel, readout_channel
 from .oracle import subset_moments, walsh_z_expectations, word_statistics
-from .states import CliffordWord, StateVector, _apply_local, sample_counts
+from .states import StateVector, _apply_local, sample_counts
 
 __all__ = [
     "ShotRecord",
@@ -42,8 +42,7 @@ __all__ = [
     "bernstein_tail",
 ]
 
-#: Amplitudes one block of simulated units may hold (units x 2**n), so the
-#: batched word probabilities stay in a small working set at every n.
+#: Cap on the amplitudes (units x 2**n) of one simulated block: memory stays flat in n.
 _BLOCK_AMPLITUDES = 2**15
 
 
@@ -236,8 +235,10 @@ def word_outcome_probs(
         raise ValueError("word length must equal qubit count")
     if noise.epsilon != 0.0 and (inner_ids is None or len(inner_ids) != state.n):
         raise ValueError("a nonzero displacement needs an inner Clifford word")
-    inner = np.array([CliffordWord(inner_ids).ids]) if noise.epsilon != 0.0 else None
-    return _word_probs(state, np.array([CliffordWord(outer_ids).ids]), inner, noise)[0]
+    ids = np.array([outer_ids, inner_ids if noise.epsilon else outer_ids])
+    if ids.dtype.kind not in "iu" or np.any((ids < 0) | (ids >= N_CLIFFORD)):
+        raise ValueError(f"Clifford ids must be integers in [0, {N_CLIFFORD})")
+    return _word_probs(state, ids[:1], ids[1:] if noise.epsilon else None, noise)[0]
 
 
 def simulate_experiment(

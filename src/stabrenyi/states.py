@@ -9,6 +9,8 @@ bit first**.  For an ``n``-qubit basis index ``b``, qubit ``i`` holds the bit
 Supported gates are H, the single-qubit phase rotation P(theta) =
 diag(1, e^{i theta}) (T is P(pi/4)), CX with explicit control/target, and the
 24 single-qubit Cliffords from :mod:`stabrenyi.cliffords` addressed by id.
+One kernel applies every single-qubit operator, along a qubit axis of a
+(..., 2**n) array whose leading axes are a batch (one word per row).
 """
 
 from __future__ import annotations
@@ -171,11 +173,10 @@ class CliffordWord:
 
 
 def _apply_1q(amps: np.ndarray, n: int, gate: np.ndarray, qubit: int) -> np.ndarray:
-    """The package's one kernel: apply a 2x2 operator along one qubit axis
-    of a (..., 2**n) array.  ``gate`` is (2, 2), or (..., 2, 2) with one
-    operator per row, broadcast against the batch axes of ``amps``.  Each row
-    is copied, qubit axis first, to a contiguous (2, rest) block for one
-    ``np.matmul``, so a row gets the same bits alone or batched."""
+    """Apply a 2x2 operator (``gate`` (2, 2), or (..., 2, 2) broadcast against
+    the batch axes) along one qubit axis of a (..., 2**n) array: each row is
+    copied, qubit axis first, to a contiguous (2, rest) block for one
+    ``np.matmul``, the layout that gives a row the same bits alone or batched."""
     moved = np.moveaxis(amps.reshape(*amps.shape[:-1], *[2] * n), qubit - n, -n)
     out = np.matmul(gate, moved.reshape(*amps.shape[:-1], 2, -1))
     batch = out.shape[:-2]
@@ -183,8 +184,7 @@ def _apply_1q(amps: np.ndarray, n: int, gate: np.ndarray, qubit: int) -> np.ndar
 
 
 def _apply_local(amps: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Apply ``mats[..., i, :, :]`` to qubit i of each row of a (..., 2**n)
-    array, qubit 0 first; mats is (..., n, 2, 2)."""
+    """Apply ``mats[..., i, :, :]`` of a (..., n, 2, 2) stack to qubit i, in order."""
     n = mats.shape[-3]
     for qubit in range(n):
         amps = _apply_1q(amps, n, mats[..., qubit, :, :], qubit)

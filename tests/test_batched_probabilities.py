@@ -143,7 +143,8 @@ def per_unit_simulation(state, n_units, n_shots, seed, noise) -> ExperimentData:
     """Reference: every unit on its own, words then counts from its substream."""
     records = []
     for k in range(n_units):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+        stream = np.random.SeedSequence(entropy=seed, spawn_key=(k,))
+        rng = np.random.default_rng(stream)
         outer = tuple(int(c) for c in rng.integers(0, N_CLIFFORD, size=state.n))
         inner = None
         if noise.epsilon != 0.0:
@@ -151,7 +152,9 @@ def per_unit_simulation(state, n_units, n_shots, seed, noise) -> ExperimentData:
         probs = per_word_reference(state, outer, inner, noise)
         counts = sample_counts(probs, n_shots, rng)
         records.append(ShotRecord(clifford_ids=outer, counts=counts))
-    return ExperimentData(n=state.n, state_label="custom", records=tuple(records), seed=seed)
+    return ExperimentData(
+        n=state.n, state_label="custom", records=tuple(records), seed=seed
+    )
 
 
 @pytest.mark.parametrize(

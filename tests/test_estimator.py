@@ -267,6 +267,15 @@ class TestWordOutcomeProbs:
         with pytest.raises(ValueError):
             word_outcome_probs(zero_state(2), (0,))
 
+    @pytest.mark.parametrize(
+        "outer, inner", [((1.7,), (0,)), ((24,), (0,)), ((-1,), (0,)), ((0,), (2.5,))]
+    )
+    def test_ids_must_be_cliffords(self, outer, inner):
+        with pytest.raises(ValueError, match="Clifford ids must be integers"):
+            word_outcome_probs(
+                zero_state(1), outer, inner_ids=inner, noise=NoiseParams(epsilon=0.3)
+            )
+
 
 class TestSimulate:
     def test_deterministic_per_seed(self):
