@@ -1,5 +1,5 @@
-"""Frozen sha256 digests of ``stabrenyi simulate`` record files and of a
-``stabrenyi calibrate`` report.
+"""Frozen sha256 digests of ``stabrenyi simulate`` record files and of
+``stabrenyi estimate``, ``fit-noise`` and ``calibrate`` reports.
 
 For a fixed seed a record file must stay byte-identical: the Clifford words,
 the RNG draws, the count keys and their order, and the JSON layout all feed
@@ -8,7 +8,9 @@ moves a single byte fails here.  The first six digests were taken from the
 package before the estimation path was batched, the noisy gamma 5-6 record
 and the calibrate report before the word probabilities were batched; the
 gamma-12 seed-2022 digest is the one the benchmark pins for its
-``wide_estimate`` workload.
+``wide_estimate`` workload.  The estimate and fit-noise report digests were
+taken before experiment data moved from per-unit count dicts to arrays; they
+gate the whole read -> estimate path, down to the last printed digit.
 """
 
 from __future__ import annotations
@@ -64,9 +66,29 @@ GOLDEN_RECORDS = [
     ),
 ]
 
+#: ``estimate --verbose`` reports of two golden record files, per method.
+GOLDEN_ESTIMATES = [
+    ("gamma 3-4 noisy", "ustat",
+     "8aa338d19c0d96d612602af0dd9814e25c121c3e76167eacf169ce9f6471e007"),
+    ("gamma 3-4 noisy", "plugin",
+     "322d38a153b0e51ea6e1dfcbfcc9a30a743ca3cbe44b295e48e0f6b97c5d2dfe"),
+    ("gamma 12-12 seed 2022", "ustat",
+     "c4d86f50c7a69eb2de52072b4bd9762e28b1bc6fedb4f363644fe57bb75fec8c"),
+    ("gamma 12-12 seed 2022", "plugin",
+     "e54db43210b29bd5700ff8d3b753cbd7b70fda1355bc27aaa9f28143ca11544d"),
+]
+
+#: fit-noise on zero-3 (seed 1) and gamma 3-4 (seed 2) records, 300 x 300,
+#: both simulated with --noise 0.85,0.95,0.3.
+FIT_NOISE_DIGEST = "8ba44e9c5a7a1d2402a9cad83d64eceb2e47fb04522106044ee9acddb06c9a39"
+
 #: gamma 3-4 on a 2x2 grid, 3 trials, plugin: every cell's spread and purity
 #: deviation, and the selected cell, are pinned to the byte.
 CALIBRATE_DIGEST = "6063cb3be0f2a31a435bd05749d18e3e395537f9a7b7c677e3c01e880d6ca8c9"
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -76,7 +98,34 @@ CALIBRATE_DIGEST = "6063cb3be0f2a31a435bd05749d18e3e395537f9a7b7c677e3c01e880d6c
 def test_simulate_record_bytes_are_frozen(tmp_path, argv, digest):
     out = tmp_path / "records.jsonl"
     assert main(["simulate", *argv, "--out", str(out)]) == EXIT_OK
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert _digest(out) == digest
+
+
+@pytest.mark.parametrize(
+    "record, method, digest",
+    [pytest.param(r, m, d, id=f"{r}, {m}") for r, m, d in GOLDEN_ESTIMATES],
+)
+def test_estimate_report_bytes_are_frozen(tmp_path, record, method, digest):
+    argv = next(a for name, a, _ in GOLDEN_RECORDS if name == record)
+    records = tmp_path / "records.jsonl"
+    assert main(["simulate", *argv, "--out", str(records)]) == EXIT_OK
+    out = tmp_path / "report.json"
+    assert main(["estimate", "--records", str(records), "--method", method,
+                 "--verbose", "--out", str(out)]) == EXIT_OK
+    assert _digest(out) == digest
+
+
+def test_fit_noise_report_bytes_are_frozen(tmp_path):
+    zero, target = tmp_path / "zero.jsonl", tmp_path / "target.jsonl"
+    common = ["--nu", "300", "--nm", "300", "--noise", "0.85,0.95,0.3"]
+    assert main(["simulate", "--state", "zero", "--n", "3", *common,
+                 "--seed", "1", "--out", str(zero)]) == EXIT_OK
+    assert main(["simulate", "--state", "gamma", "--n", "3", "--t", "4", *common,
+                 "--seed", "2", "--out", str(target)]) == EXIT_OK
+    out = tmp_path / "report.json"
+    assert main(["fit-noise", "--records-zero", str(zero), "--records", str(target),
+                 "--out", str(out)]) == EXIT_OK
+    assert _digest(out) == FIT_NOISE_DIGEST
 
 
 def test_calibrate_report_bytes_are_frozen(tmp_path):
@@ -87,4 +136,4 @@ def test_calibrate_report_bytes_are_frozen(tmp_path):
             "--grid", str(grid), "--trials", "3", "--seed", "17",
             "--method", "plugin", "--out", str(out)]
     assert main(argv) == EXIT_OK
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == CALIBRATE_DIGEST
+    assert _digest(out) == CALIBRATE_DIGEST
