@@ -61,7 +61,6 @@ from .noise import (
 from .estimator import (
     EstimateReport,
     ExperimentData,
-    ShotRecord,
     bernstein_tail,
     estimate,
     simulate_experiment,
@@ -131,7 +130,6 @@ __all__ = [
     "w_epsilon",
     "EstimateReport",
     "ExperimentData",
-    "ShotRecord",
     "bernstein_tail",
     "estimate",
     "simulate_experiment",

@@ -7,12 +7,13 @@ expectation values combine into unbiased (U-statistic) or plugin estimates
 of the stabilizer purity W and the purity P; averaging over words and taking
 log2(P / (W d)) gives the stabilizer 2-Renyi entropy.
 
-Estimation holds an experiment as one (U, 2**n) count array, one row per
-word, and runs one fast Walsh-Hadamard transform over all of it.  The
-U-statistic path turns the transformed counts (subset sign sums) into the
-elementary symmetric polynomials e2/e4 of the +-1 shot signs through
-Newton's identities, which is algebraically identical to (and vastly
-cheaper than) summing over all distinct shot quadruples.
+An experiment is held as a (U, n) Clifford-id array and a (U, 2**n) count
+array, one row per word; estimation runs one fast Walsh-Hadamard transform
+over all the counts at once.  The U-statistic path turns the transformed
+counts (subset sign sums) into the elementary symmetric polynomials e2/e4
+of the +-1 shot signs through Newton's identities, which is algebraically
+identical to (and vastly cheaper than) summing over all distinct shot
+quadruples.
 """
 
 from __future__ import annotations
@@ -28,13 +29,9 @@ from .oracle import subset_moments, walsh_z_expectations, word_statistics
 from .states import StateVector, _apply_local, sample_counts
 
 __all__ = [
-    "ShotRecord",
     "ExperimentData",
     "EstimateReport",
-    "counts_vector",
     "word_estimates",
-    "plugin_word_estimates",
-    "ustat_word_estimates",
     "estimate",
     "word_outcome_probs",
     "simulate_experiment",
@@ -46,34 +43,14 @@ __all__ = [
 _BLOCK_AMPLITUDES = 2**15
 
 
-@dataclass(frozen=True)
-class ShotRecord:
-    """One measurement unit: the recorded Clifford word and its shot counts."""
-
-    clifford_ids: tuple[int, ...]
-    counts: dict[str, int]
-
-    def __post_init__(self) -> None:
-        n = len(self.clifford_ids)
-        if n == 0:
-            raise ValueError("empty Clifford word")
-        if not all(type(c) is int and 0 <= c < N_CLIFFORD for c in self.clifford_ids):
-            raise ValueError("Clifford ids must be integers in [0, 24)")
-        for bits, count in self.counts.items():
-            if len(bits) != n or bits.strip("01"):
-                raise ValueError(f"bad bitstring {bits!r} for {n} qubits")
-            if type(count) is not int or count <= 0:
-                raise ValueError(f"count for {bits!r} must be a positive integer")
-
-    @property
-    def n_shots(self) -> int:
-        return sum(self.counts.values())
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentData:
     """A full randomized-measurement data set on an n-qubit state.
 
+    ``clifford_ids`` is the (U, n) array of recorded Clifford words, one row
+    per measurement unit; ``counts`` is the (U, 2**n) array of their shot
+    counts, column b counting outcome b (msb-first, as in ``states``).  Both
+    are int64, checked once and read-only; equality compares every field.
     seed is the master seed the data was simulated from, or None for
     ingested hardware records; it rides along so downstream reports can
     state the provenance of every published number.
@@ -81,12 +58,31 @@ class ExperimentData:
 
     n: int
     state_label: str
-    records: tuple[ShotRecord, ...]
+    clifford_ids: np.ndarray
+    counts: np.ndarray
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if any(len(r.clifford_ids) != self.n for r in self.records):
-            raise ValueError("record word length disagrees with n")
+        limits = (("clifford_ids", self.n, N_CLIFFORD), ("counts", 2**self.n, np.inf))
+        for name, width, upper in limits:
+            arr = np.asarray(getattr(self, name))
+            if arr.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be an integer array, not {arr.dtype}")
+            if arr.ndim != 2 or arr.shape[1] != width:
+                raise ValueError(f"{name} has shape {arr.shape}, not (U, {width})")
+            arr = arr.astype(np.int64)  # a copy; uint64 beyond int64 turns negative
+            if np.any((arr < 0) | (arr >= upper)):
+                raise ValueError(f"{name} must lie in [0, {upper})")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if len(self.clifford_ids) != len(self.counts):
+            raise ValueError("clifford_ids and counts disagree on the number of units")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExperimentData):
+            return NotImplemented
+        fields = ("n", "state_label", "seed", "clifford_ids", "counts")
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in fields)
 
 
 @dataclass(frozen=True)
@@ -112,16 +108,6 @@ class EstimateReport:
     negative_stab_purity: bool
     per_word_stab_purity: tuple[float, ...]
     per_word_purity: tuple[float, ...]
-
-
-def counts_vector(counts: dict[str, int], n: int) -> np.ndarray:
-    """Dense outcome-count vector (length 2**n) from a sparse counts dict."""
-    for bits in counts:
-        if len(bits) != n or bits.strip("01"):
-            raise ValueError(f"bad bitstring {bits!r} for {n} qubits")
-    vec = np.zeros(2**n, dtype=np.int64)
-    vec[[int(bits, 2) for bits in counts]] = list(counts.values())
-    return vec
 
 
 def word_estimates(
@@ -156,25 +142,12 @@ def word_estimates(
     return subset_moments((s2 - nn) / pairs, e4 / (pairs * (nn - 2.0) * (nn - 3.0)), n)
 
 
-def plugin_word_estimates(vec: np.ndarray, n: int) -> tuple[float, float]:
-    """Biased plugin (W_C, P_C) from one word's counts: one row of word_estimates."""
-    w_c, p_c = word_estimates(np.asarray(vec)[None, :], n, "plugin")
-    return float(w_c[0]), float(p_c[0])
-
-
-def ustat_word_estimates(vec: np.ndarray, n: int) -> tuple[float, float]:
-    """Unbiased (W_C, P_C) from one word's counts: one row of word_estimates."""
-    w_c, p_c = word_estimates(np.asarray(vec)[None, :], n, "ustat")
-    return float(w_c[0]), float(p_c[0])
-
-
 def estimate(data: ExperimentData, method: str = "ustat") -> EstimateReport:
     """Combine per-word estimates, taken as one (U, 2**n) batch by
     ``word_estimates``, into point estimates with standard errors."""
-    if not data.records:
+    if not len(data.counts):
         raise ValueError("no records to estimate from")
-    counts = np.stack([counts_vector(r.counts, data.n) for r in data.records])
-    w_arr, p_arr = word_estimates(counts, data.n, method)
+    w_arr, p_arr = word_estimates(data.counts, data.n, method)
     n_units = len(w_arr)
     w_est = float(w_arr.mean())
     p_est = float(p_arr.mean())
@@ -192,7 +165,7 @@ def estimate(data: ExperimentData, method: str = "ustat") -> EstimateReport:
         method=method,
         n=data.n,
         n_units=n_units,
-        shots=tuple(counts.sum(axis=1).tolist()),
+        shots=tuple(data.counts.sum(axis=1).tolist()),
         stab_purity=w_est,
         stab_purity_err=w_err,
         purity=p_est,
@@ -266,22 +239,23 @@ def simulate_experiment(
         raise ValueError("need at least one unit and one shot")
     n = state.n
     block = max(1, _BLOCK_AMPLITUDES >> n)
-    records = []
+    ids = np.empty((n_units, n), dtype=np.int64)
+    counts = np.empty((n_units, 2**n), dtype=np.int64)
     for start in range(0, n_units, block):
+        stop = min(start + block, n_units)
         rngs = [
             np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-            for k in range(start, min(start + block, n_units))
+            for k in range(start, stop)
         ]
-        outer = np.array([rng.integers(0, N_CLIFFORD, size=n) for rng in rngs])
+        ids[start:stop] = [rng.integers(0, N_CLIFFORD, size=n) for rng in rngs]
         inner = None
         if noise.epsilon != 0.0:
             inner = np.array([rng.integers(0, N_CLIFFORD, size=n) for rng in rngs])
-        probs = _word_probs(state, outer, inner, noise)
-        for rng, ids, row in zip(rngs, outer.tolist(), probs):
-            counts = sample_counts(row, n_shots, rng)
-            records.append(ShotRecord(clifford_ids=tuple(ids), counts=counts))
+        probs = _word_probs(state, ids[start:stop], inner, noise)
+        for k, (rng, row) in enumerate(zip(rngs, probs), start):
+            counts[k] = sample_counts(row, n_shots, rng)
     return ExperimentData(
-        n=state.n, state_label=state_label, records=tuple(records), seed=seed
+        n=n, state_label=state_label, clifford_ids=ids, counts=counts, seed=seed
     )
 
 

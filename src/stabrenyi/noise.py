@@ -114,7 +114,8 @@ class SmallOperator:
         dim = 2**self.k
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix for k={self.k}")
-        assert np.max(np.abs(mat - mat.conj().T)) < 1e-12, "operator must be Hermitian"
+        if not np.max(np.abs(mat - mat.conj().T)) < 1e-12:
+            raise ValueError("operator must be Hermitian")
         object.__setattr__(self, "matrix", mat)
 
 

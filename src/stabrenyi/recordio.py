@@ -8,6 +8,9 @@ leftmost character), matching the simulator's convention.
      "state_label": "gamma-3-5", "bit_order": "msb-first"}
     {"clifford_ids": [3, 17, 22], "counts": {"010": 31, "111": 4}}
 
+Bitstrings exist only in these files: in memory an experiment is the
+``ExperimentData`` arrays, with ``counts[k, int("010", 2)] == 31`` above.
+
 A report file is a single JSON document with the estimates, the method,
 the resources consumed, and optionally a fitted noise model or a
 calibration table.  Reports survive a write/read round trip losslessly.
@@ -20,9 +23,13 @@ from collections import Counter
 from pathlib import Path
 from typing import IO, Any
 
+import numpy as np
+
 from . import __version__
-from .estimator import EstimateReport, ExperimentData, ShotRecord
+from .cliffords import N_CLIFFORD
+from .estimator import EstimateReport, ExperimentData
 from .fitting import NoiseFit
+from .states import MAX_QUBITS
 
 __all__ = [
     "RecordFormatError",
@@ -53,7 +60,8 @@ def _open_maybe(path_or_file: str | Path | IO[str], mode: str):
 
 
 def write_records(data: ExperimentData, path_or_file: str | Path | IO[str]) -> None:
-    """Serialize an experiment to a JSON Lines record file."""
+    """Serialize an experiment to a JSON Lines record file, one line per
+    unit with its nonzero counts keyed by msb-first bitstrings."""
     handle, owned = _open_maybe(path_or_file, "w")
     try:
         header = {
@@ -66,11 +74,11 @@ def write_records(data: ExperimentData, path_or_file: str | Path | IO[str]) -> N
         if data.seed is not None:
             header["seed"] = data.seed
         handle.write(json.dumps(header, sort_keys=True) + "\n")
-        for record in data.records:
-            line = {
-                "clifford_ids": list(record.clifford_ids),
-                "counts": {k: record.counts[k] for k in sorted(record.counts)},
-            }
+        width = f"0{data.n}b"
+        for ids, row in zip(data.clifford_ids.tolist(), data.counts):
+            hit = np.flatnonzero(row)
+            keys = [format(b, width) for b in hit.tolist()]
+            line = {"clifford_ids": ids, "counts": dict(zip(keys, row[hit].tolist()))}
             handle.write(json.dumps(line, sort_keys=True) + "\n")
     finally:
         if owned:
@@ -82,89 +90,110 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_json_line(line: str, lineno: int) -> dict[str, Any]:
-    def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-        obj = dict(pairs)
-        if len(obj) < len(pairs):
-            key = next(k for k, c in Counter(k for k, _ in pairs).items() if c > 1)
-            raise RecordFormatError(f"line {lineno}: repeated key {key!r}")
-        return obj
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """JSON object hook: a repeated key would silently keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, c in Counter(k for k, _ in pairs).items() if c > 1)
+        raise RecordFormatError(f"repeated key {key!r}")
+    return obj
 
+
+def _parse_json_line(line: str, lineno: int) -> dict[str, Any]:
     try:
-        obj = json.loads(line, object_pairs_hook=unique_keys)
+        obj = json.loads(line, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise RecordFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    except RecordFormatError as exc:
+        raise RecordFormatError(f"line {lineno}: {exc}") from None
     if not isinstance(obj, dict):
         raise RecordFormatError(f"line {lineno}: expected a JSON object")
     return obj
 
 
+def _parse_unit(text: str, lineno: int, n: int) -> tuple[list[int], dict[str, int]]:
+    """(clifford_ids, counts) from one unit's line, checked against n."""
+    obj = _parse_json_line(text, lineno)
+    if set(obj) != {"clifford_ids", "counts"}:
+        raise RecordFormatError(
+            f"line {lineno}: record needs exactly clifford_ids and counts"
+        )
+    ids, counts = obj["clifford_ids"], obj["counts"]
+    if not isinstance(ids, list) or len(ids) != n or not all(_is_int(c) for c in ids):
+        raise RecordFormatError(f"line {lineno}: clifford_ids must be {n} integers")
+    if not isinstance(counts, dict):
+        raise RecordFormatError(f"line {lineno}: counts must be an object")
+    if not all(0 <= c < N_CLIFFORD for c in ids):
+        raise RecordFormatError(
+            f"line {lineno}: Clifford ids must be integers in [0, {N_CLIFFORD})"
+        )
+    for bits, count in counts.items():
+        if len(bits) != n or bits.strip("01"):
+            raise RecordFormatError(
+                f"line {lineno}: bad bitstring {bits!r} for {n} qubits"
+            )
+        if not _is_int(count) or count <= 0:
+            raise RecordFormatError(
+                f"line {lineno}: count for {bits!r} must be a positive integer"
+            )
+    if sum(counts.values()) > np.iinfo(np.int64).max:
+        raise RecordFormatError(f"line {lineno}: more shots than an int64 count holds")
+    return ids, counts
+
+
 def read_records(path_or_file: str | Path | IO[str]) -> ExperimentData:
-    """Parse a JSON Lines record file, reporting errors with line numbers."""
+    """Parse a JSON Lines record file line by line, reporting errors with
+    line numbers; the id and count arrays are built once, at the end."""
+    ids: list[list[int]] = []
+    rows: list[dict[str, int]] = []
     handle, owned = _open_maybe(path_or_file, "r")
     try:
-        lines = [(i + 1, raw.strip()) for i, raw in enumerate(handle)]
+        lines = ((no, raw.strip()) for no, raw in enumerate(handle, 1))
+        lines = ((no, text) for no, text in lines if text)
+        header_no, header_text = next(lines, (0, ""))
+        if not header_no:
+            raise RecordFormatError("empty file: missing header line")
+        header = _parse_json_line(header_text, header_no)
+        if header.get("format") != RECORD_FORMAT:
+            raise RecordFormatError(
+                f"line {header_no}: header format {header.get('format')!r} is not "
+                f"{RECORD_FORMAT!r}"
+            )
+        version = header.get("format_version")
+        if not _is_int(version) or version != FORMAT_VERSION:
+            raise RecordFormatError(
+                f"line {header_no}: unsupported format_version {version!r}"
+            )
+        if header.get("bit_order", BIT_ORDER) != BIT_ORDER:
+            raise RecordFormatError(
+                f"line {header_no}: unsupported bit_order {header.get('bit_order')!r}"
+            )
+        n = header.get("n")
+        if not _is_int(n) or not 1 <= n <= MAX_QUBITS:
+            raise RecordFormatError(
+                f"line {header_no}: n must be a positive integer at most {MAX_QUBITS}"
+            )
+        label = header.get("state_label")
+        if not isinstance(label, str) or not label:
+            raise RecordFormatError(f"line {header_no}: state_label must be a string")
+        seed = header.get("seed")
+        if seed is not None and not _is_int(seed):
+            raise RecordFormatError(f"line {header_no}: seed must be an integer")
+        for lineno, text in lines:
+            word, row = _parse_unit(text, lineno, n)
+            ids.append(word)
+            rows.append(row)
     finally:
         if owned:
             handle.close()
-    lines = [(no, text) for no, text in lines if text]
-    if not lines:
-        raise RecordFormatError("empty file: missing header line")
-    header_no, header_text = lines[0]
-    header = _parse_json_line(header_text, header_no)
-    if header.get("format") != RECORD_FORMAT:
-        raise RecordFormatError(
-            f"line {header_no}: header format {header.get('format')!r} is not "
-            f"{RECORD_FORMAT!r}"
-        )
-    version = header.get("format_version")
-    if not _is_int(version) or version != FORMAT_VERSION:
-        raise RecordFormatError(
-            f"line {header_no}: unsupported format_version {version!r}"
-        )
-    if header.get("bit_order", BIT_ORDER) != BIT_ORDER:
-        raise RecordFormatError(
-            f"line {header_no}: unsupported bit_order {header.get('bit_order')!r}"
-        )
-    n = header.get("n")
-    if not _is_int(n) or n < 1:
-        raise RecordFormatError(f"line {header_no}: n must be a positive integer")
-    label = header.get("state_label")
-    if not isinstance(label, str) or not label:
-        raise RecordFormatError(f"line {header_no}: state_label must be a string")
-    seed = header.get("seed")
-    if seed is not None and not _is_int(seed):
-        raise RecordFormatError(f"line {header_no}: seed must be an integer")
-    records = []
-    for lineno, text in lines[1:]:
-        obj = _parse_json_line(text, lineno)
-        extra = set(obj) - {"clifford_ids", "counts"}
-        missing = {"clifford_ids", "counts"} - set(obj)
-        if extra or missing:
-            raise RecordFormatError(
-                f"line {lineno}: record needs exactly clifford_ids and counts"
-            )
-        ids = obj["clifford_ids"]
-        if (
-            not isinstance(ids, list)
-            or len(ids) != n
-            or not all(_is_int(c) for c in ids)
-        ):
-            raise RecordFormatError(
-                f"line {lineno}: clifford_ids must be {n} integers"
-            )
-        counts = obj["counts"]
-        if not isinstance(counts, dict):
-            raise RecordFormatError(f"line {lineno}: counts must be an object")
-        try:
-            records.append(
-                ShotRecord(clifford_ids=tuple(ids), counts=dict(counts))
-            )
-        except ValueError as exc:
-            raise RecordFormatError(f"line {lineno}: {exc}") from exc
-    if not records:
+    if not ids:
         raise RecordFormatError("no records after the header")
-    return ExperimentData(n=n, state_label=label, records=tuple(records), seed=seed)
+    counts = np.zeros((len(ids), 2**n), dtype=np.int64)
+    for k, row in enumerate(rows):
+        counts[k, [int(bits, 2) for bits in row]] = list(row.values())
+    return ExperimentData(
+        n=n, state_label=label, clifford_ids=np.array(ids), counts=counts, seed=seed
+    )
 
 
 def report_header(
@@ -240,7 +269,7 @@ def read_report(path_or_file: str | Path | IO[str]) -> dict[str, Any]:
     handle, owned = _open_maybe(path_or_file, "r")
     try:
         try:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise RecordFormatError(
                 f"line {exc.lineno}: invalid JSON ({exc.msg})"

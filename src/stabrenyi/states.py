@@ -15,7 +15,6 @@ One kernel applies every single-qubit operator, along a qubit axis of a
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,11 +160,13 @@ class CliffordWord:
     ids: tuple
 
     def __post_init__(self) -> None:
-        ids = tuple(int(i) for i in self.ids)
+        ids = tuple(self.ids)
         for cid in ids:
+            if isinstance(cid, bool) or not isinstance(cid, (int, np.integer)):
+                raise ValueError(f"clifford id {cid!r} is not an integer")
             if not 0 <= cid < N_CLIFFORD:
                 raise ValueError(f"clifford id {cid} outside [0, {N_CLIFFORD})")
-        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "ids", tuple(int(i) for i in ids))
 
     @property
     def n(self) -> int:
@@ -323,19 +324,13 @@ def outcome_distribution(state: StateVector | MixedState) -> np.ndarray:
     return probs / total
 
 
-@functools.lru_cache(maxsize=None)
-def _bit_labels(n: int) -> tuple[str, ...]:
-    """Bitstring of every outcome index, msb-first, in index order."""
-    return tuple(format(idx, f"0{n}b") for idx in range(2**n))
-
-
 def sample_counts(
     probs: np.ndarray, n_shots: int, seed: int | np.random.Generator
-) -> dict[str, int]:
-    """Draw multinomial counts; keys are bitstrings, values positive ints.
+) -> np.ndarray:
+    """Draw multinomial shot counts: an int64 vector indexed like ``probs``.
 
     Identical (probs, n_shots, seed) always give identical counts: a single
-    multinomial draw from one generator, read out in fixed index order.
+    multinomial draw from one generator.
     """
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or probs.size == 0 or (probs.size & (probs.size - 1)):
@@ -344,9 +339,6 @@ def sample_counts(
         raise ValueError("probs must be a probability distribution")
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
-    labels = _bit_labels(probs.size.bit_length() - 1)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    draws = rng.multinomial(n_shots, np.clip(probs, 0.0, None) / probs.sum())
-    hit = np.flatnonzero(draws)
-    return dict(zip(map(labels.__getitem__, hit.tolist()), draws[hit].tolist()))
+    return rng.multinomial(n_shots, np.clip(probs, 0.0, None) / probs.sum())
 

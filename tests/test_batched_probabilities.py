@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from stabrenyi.cliffords import CLIFFORD_1Q, N_CLIFFORD
 from stabrenyi.estimator import (
     ExperimentData,
-    ShotRecord,
     _word_probs,
     simulate_experiment,
     word_outcome_probs,
@@ -141,7 +140,7 @@ def test_batched_readout_rows_equal_1d_calls(n, lead, q, seed):
 
 def per_unit_simulation(state, n_units, n_shots, seed, noise) -> ExperimentData:
     """Reference: every unit on its own, words then counts from its substream."""
-    records = []
+    ids, counts = [], []
     for k in range(n_units):
         stream = np.random.SeedSequence(entropy=seed, spawn_key=(k,))
         rng = np.random.default_rng(stream)
@@ -150,10 +149,10 @@ def per_unit_simulation(state, n_units, n_shots, seed, noise) -> ExperimentData:
         if noise.epsilon != 0.0:
             inner = tuple(int(c) for c in rng.integers(0, N_CLIFFORD, size=state.n))
         probs = per_word_reference(state, outer, inner, noise)
-        counts = sample_counts(probs, n_shots, rng)
-        records.append(ShotRecord(clifford_ids=outer, counts=counts))
+        ids.append(outer)
+        counts.append(sample_counts(probs, n_shots, rng))
     return ExperimentData(
-        n=state.n, state_label="custom", records=tuple(records), seed=seed
+        n=state.n, state_label="custom", clifford_ids=ids, counts=counts, seed=seed
     )
 
 

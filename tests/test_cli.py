@@ -348,6 +348,34 @@ class TestFitScalingCommand:
         )
         assert code == EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize(
+        "points, entry",
+        [
+            ("[[true, 7000], [2.9, 5000], [3, 3000], [4, 2000]]", "[true, 7000]"),
+            ("[[1, 7000], [2.9, 5000], [3, 3000], [4, 2000]]", "[2.9, 5000]"),
+            ("[[1], [2, 5], [3, 4]]", "[1]"),
+            ("[[1, 7], [2, 5], [3, 4, 1]]", "[3, 4, 1]"),
+            ("[[1, 7], [2, false], [3, 4]]", "[2, false]"),
+            ('[[1, 7], [2, "5"], [3, 4]]', '[2, "5"]'),
+            ("[[1, 7], [2, NaN], [3, 4]]", "[2, NaN]"),
+            ("[[1, 7], 5, [3, 4]]", "5"),
+            ("5", "5"),
+            ('{"1": 7000}', '{"1": 7000}'),
+        ],
+        ids=["bool-t", "float-t", "short", "long", "bool-total", "string-total",
+             "nan-total", "scalar-entry", "scalar", "object"],
+    )
+    def test_malformed_points_are_a_domain_error(self, capsys, points, entry):
+        code = main(["fit-scaling", "--points", points, "--n", "3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN
+        assert captured.out == ""
+        assert entry in captured.err
+
+    def test_invalid_points_json_is_a_data_error(self, capsys):
+        code, _ = _run(capsys, "fit-scaling", "--points", "[[1, 7000], [2,", "--n", "3")
+        assert code == EXIT_DATA
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 
@@ -10,18 +11,16 @@ import pytest
 
 from stabrenyi.estimator import (
     ExperimentData,
-    ShotRecord,
     bernstein_tail,
-    counts_vector,
     estimate,
-    plugin_word_estimates,
     simulate_experiment,
-    ustat_word_estimates,
     variance_bound,
+    word_estimates,
     word_outcome_probs,
 )
 from stabrenyi.noise import NoiseParams
 from stabrenyi.oracle import subset_weights, word_statistics
+from stabrenyi.recordio import RecordFormatError, read_records
 from stabrenyi.states import (
     CliffordWord,
     apply_local_cliffords,
@@ -30,6 +29,37 @@ from stabrenyi.states import (
     plus_state,
     zero_state,
 )
+
+
+def _row(counts: dict[str, int], n: int) -> np.ndarray:
+    """One word's dense count row from bitstring counts (msb-first)."""
+    vec = np.zeros(2**n, dtype=np.int64)
+    for bits, count in counts.items():
+        vec[int(bits, 2)] = count
+    return vec
+
+
+def _one_row(vec: np.ndarray, n: int, method: str) -> tuple[float, float]:
+    """(W_C, P_C) of one word: a one-row ``word_estimates`` call."""
+    w_c, p_c = word_estimates(np.asarray(vec)[None, :], n, method)
+    return float(w_c[0]), float(p_c[0])
+
+
+def _data(ids, counts, n: int = 1) -> ExperimentData:
+    return ExperimentData(
+        n=n,
+        state_label="x",
+        clifford_ids=np.array(ids, dtype=np.int64).reshape(-1, n),
+        counts=np.array(counts, dtype=np.int64).reshape(-1, 2**n),
+    )
+
+
+def _records(*lines: str, n: int = 1) -> str:
+    header = (
+        '{"format": "rm-records", "format_version": 1, "n": %d, '
+        '"state_label": "x", "bit_order": "msb-first"}' % n
+    )
+    return "\n".join((header, *lines)) + "\n"
 
 
 def naive_ustat(vec: np.ndarray, n: int) -> tuple[float, float]:
@@ -72,32 +102,32 @@ class TestWordEstimates:
         ],
     )
     def test_ustat_matches_naive_loop(self, counts, n):
-        vec = counts_vector(counts, n)
-        fast_w, fast_p = ustat_word_estimates(vec, n)
+        vec = _row(counts, n)
+        fast_w, fast_p = _one_row(vec, n, "ustat")
         slow_w, slow_p = naive_ustat(vec, n)
         assert math.isclose(fast_w, slow_w, rel_tol=1e-12, abs_tol=1e-13)
         assert math.isclose(fast_p, slow_p, rel_tol=1e-12, abs_tol=1e-13)
 
     def test_plugin_is_word_statistics_of_frequencies(self):
-        vec = counts_vector({"00": 3, "01": 1, "11": 4}, 2)
-        got = plugin_word_estimates(vec, 2)
-        want = word_statistics(vec / vec.sum(), 2)
-        assert got == want
+        counts = np.array([[3, 1, 0, 4], [0, 2, 5, 1], [7, 0, 0, 0]])
+        got_w, got_p = word_estimates(counts, 2, "plugin")
+        want_w, want_p = word_statistics(counts / counts.sum(axis=1, keepdims=True), 2)
+        assert np.array_equal(got_w, want_w)
+        assert np.array_equal(got_p, want_p)
 
     def test_pure_word_gives_extremal_values(self):
         # every shot lands on one outcome: all subset signs are +-1 exactly
-        vec = counts_vector({"00": 10}, 2)
-        w_c, p_c = ustat_word_estimates(vec, 2)
+        w_c, p_c = _one_row(_row({"00": 10}, 2), 2, "ustat")
         assert abs(w_c - 1.0) < 1e-12
         assert abs(p_c - 4.0) < 1e-12
 
     def test_ustat_needs_four_shots(self):
         with pytest.raises(ValueError):
-            ustat_word_estimates(counts_vector({"0": 3}, 1), 1)
+            _one_row(_row({"0": 3}, 1), 1, "ustat")
 
     def test_plugin_needs_one_shot(self):
         with pytest.raises(ValueError):
-            plugin_word_estimates(np.zeros(2, dtype=np.int64), 1)
+            _one_row(np.zeros(2, dtype=np.int64), 1, "plugin")
 
     def test_ustat_unbiased_monte_carlo(self):
         # fixed word, finite shots: the mean of the U-statistic over count
@@ -113,49 +143,90 @@ class TestWordEstimates:
         p_hat = np.empty(draws)
         for k in range(draws):
             vec = rng.multinomial(n_shots, probs)
-            w_hat[k], p_hat[k] = ustat_word_estimates(vec, 2)
+            w_hat[k], p_hat[k] = _one_row(vec, 2, "ustat")
         for sample, truth in ((w_hat, w_true), (p_hat, p_true)):
             se = sample.std(ddof=1) / math.sqrt(draws)
             assert abs(sample.mean() - truth) < 5 * se
 
 
 class TestCountsVector:
+    """A record line's bitstring counts land in one dense row, msb-first."""
+
     def test_dense_layout_msb_first(self):
-        vec = counts_vector({"10": 3, "01": 1}, 2)
-        assert list(vec) == [0, 1, 3, 0]
+        data = read_records(io.StringIO(_records(
+            '{"clifford_ids": [0, 0], "counts": {"10": 3, "01": 1}}', n=2
+        )))
+        assert data.counts.tolist() == [[0, 1, 3, 0]]
+        assert data.counts.dtype == np.int64
 
     def test_rejects_bad_bitstrings(self):
-        with pytest.raises(ValueError):
-            counts_vector({"012": 1}, 3)
-        with pytest.raises(ValueError):
-            counts_vector({"0": 1}, 2)
+        for bits, n in (("012", 3), ("0", 2)):
+            line = '{"clifford_ids": %s, "counts": {"%s": 1}}' % ([0] * n, bits)
+            fragment = f"line 2: bad bitstring '{bits}'"
+            with pytest.raises(RecordFormatError, match=fragment):
+                read_records(io.StringIO(_records(line, n=n)))
 
 
 class TestRecords:
     def test_shot_record_validation(self):
-        with pytest.raises(ValueError):
-            ShotRecord(clifford_ids=(), counts={"": 1})
-        with pytest.raises(ValueError):
-            ShotRecord(clifford_ids=(24,), counts={"0": 1})
-        with pytest.raises(ValueError):
-            ShotRecord(clifford_ids=(0,), counts={"2": 1})
-        with pytest.raises(ValueError):
-            ShotRecord(clifford_ids=(0,), counts={"0": 0})
-        with pytest.raises(ValueError):
-            ShotRecord(clifford_ids=(0,), counts={"0": 1.5})
-        with pytest.raises(ValueError):
-            ShotRecord(clifford_ids=(True,), counts={"0": 1})
-        with pytest.raises(ValueError):
-            ShotRecord(clifford_ids=(0,), counts={"0": True})
+        # The checks once made per unit, on ExperimentData's arrays ...
+        bad = [
+            ([[24]], [[1, 0]]),
+            ([[-1]], [[1, 0]]),
+            ([[0]], [[-1, 2]]),
+            (np.array([[1.5]]), [[1, 0]]),
+            ([[0]], np.array([[1.5, 0.0]])),
+            (np.array([[True]]), [[1, 0]]),
+            ([[0]], np.array([[True, False]])),
+            ([[0]], [[1, 0, 0]]),
+            ([0], [[1, 0]]),
+            ([[0], [1]], [[1, 0]]),
+        ]
+        for ids, counts in bad:
+            with pytest.raises(ValueError):
+                ExperimentData(n=1, state_label="x", clifford_ids=ids, counts=counts)
+        # ... and on record lines, each named by its line number.
+        for line in (
+            '{"clifford_ids": [24], "counts": {"0": 1}}',
+            '{"clifford_ids": [0], "counts": {"2": 1}}',
+            '{"clifford_ids": [0], "counts": {"0": 0}}',
+            '{"clifford_ids": [0], "counts": {"0": 1.5}}',
+            '{"clifford_ids": [true], "counts": {"0": 1}}',
+            '{"clifford_ids": [0], "counts": {"0": true}}',
+        ):
+            with pytest.raises(RecordFormatError, match="line 2: "):
+                read_records(io.StringIO(_records(line)))
 
     def test_n_shots(self):
-        rec = ShotRecord(clifford_ids=(0, 1), counts={"00": 3, "11": 2})
-        assert rec.n_shots == 5
+        data = _data([0, 1], [3, 0, 0, 2], n=2)
+        assert estimate(data, "plugin").shots == (5,)
 
     def test_experiment_data_length_check(self):
-        rec = ShotRecord(clifford_ids=(0,), counts={"0": 1})
         with pytest.raises(ValueError):
-            ExperimentData(n=2, state_label="x", records=(rec,))
+            ExperimentData(
+                n=2, state_label="x", clifford_ids=[[0]], counts=[[1, 0, 0, 0]]
+            )
+
+    def test_arrays_are_read_only_copies(self):
+        ids, counts = np.array([[3]]), np.array([[2, 5]])
+        data = ExperimentData(n=1, state_label="x", clifford_ids=ids, counts=counts)
+        counts[0, 0] = 99
+        assert data.counts.tolist() == [[2, 5]]
+        assert data.clifford_ids.dtype == data.counts.dtype == np.int64
+        with pytest.raises(ValueError):
+            data.counts[0, 0] = 1
+
+    def test_equality_compares_every_field(self):
+        data = _data([0], [3, 1])
+        assert data == _data([0], [3, 1])
+        assert data != _data([1], [3, 1])
+        assert data != _data([0], [3, 2])
+        assert data != ExperimentData(
+            n=1, state_label="y", clifford_ids=[[0]], counts=[[3, 1]]
+        )
+        assert data != ExperimentData(
+            n=1, state_label="x", clifford_ids=[[0]], counts=[[3, 1]], seed=1
+        )
 
 
 class TestEstimate:
@@ -196,11 +267,7 @@ class TestEstimate:
 
     def test_negative_stab_purity_flagged_not_clamped(self):
         # one word, counts chosen so e4 along Z is negative: W_C = -0.5
-        data = ExperimentData(
-            n=1,
-            state_label="adversarial",
-            records=(ShotRecord(clifford_ids=(0,), counts={"0": 3, "1": 1}),),
-        )
+        data = _data([0], [3, 1])
         report = estimate(data, method="ustat")
         assert report.stab_purity == pytest.approx(-0.5)
         assert report.negative_stab_purity
@@ -213,7 +280,7 @@ class TestEstimate:
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            estimate(ExperimentData(n=1, state_label="x", records=()))
+            estimate(_data(np.zeros((0, 1)), np.zeros((0, 2))))
 
     def test_plugin_bias_direction(self):
         # plugin fourth moments are inflated by shot noise; with few shots
@@ -233,9 +300,8 @@ class TestEstimate:
         ],
     )
     def test_short_word_names_its_unit(self, method, short_counts, fragment):
-        ok = ShotRecord(clifford_ids=(0,), counts={"0": 3, "1": 2})
-        short = ShotRecord(clifford_ids=(5,), counts=short_counts)
-        data = ExperimentData(n=1, state_label="x", records=(ok, ok, short, short))
+        short = _row(short_counts, 1)
+        data = _data([0, 0, 5, 5], [[3, 2], [3, 2], short, short])
         with pytest.raises(ValueError, match=fragment):
             estimate(data, method=method)
 
@@ -289,7 +355,8 @@ class TestSimulate:
         # growing n_units must not disturb earlier records
         small = simulate_experiment(plus_state(2), 3, 16, seed=9)
         large = simulate_experiment(plus_state(2), 5, 16, seed=9)
-        assert large.records[:3] == small.records
+        assert np.array_equal(large.clifford_ids[:3], small.clifford_ids)
+        assert np.array_equal(large.counts[:3], small.counts)
 
     def test_trivial_noise_bit_identical_to_noiseless(self):
         clean = simulate_experiment(gamma_state(2, 3), 5, 20, seed=1)

@@ -98,6 +98,17 @@ class TestFourCopyOperators:
         with pytest.raises(ValueError):
             SmallOperator(k=2, matrix=np.eye(3))
 
+    def test_small_operator_must_be_hermitian(self):
+        # a real check, not an assert: it holds under python -O too
+        upper = np.triu(np.ones((4, 4)))
+        with pytest.raises(ValueError, match="Hermitian"):
+            SmallOperator(k=2, matrix=upper)
+        with pytest.raises(ValueError, match="Hermitian"):
+            SmallOperator(k=2, matrix=np.eye(4) * 1j)
+        with pytest.raises(ValueError, match="Hermitian"):
+            SmallOperator(k=2, matrix=np.full((4, 4), np.nan))
+        assert SmallOperator(k=2, matrix=upper + upper.T).k == 2
+
     @pytest.mark.parametrize("eps", [0.0, 0.3, 0.7, 1.1, 1.5])
     def test_closed_form_matches_brute_average(self, eps):
         closed = q1_epsilon(eps).matrix

@@ -5,9 +5,13 @@ from __future__ import annotations
 import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from stabrenyi.estimator import ExperimentData, ShotRecord, estimate, simulate_experiment
+from stabrenyi.estimator import ExperimentData, estimate, simulate_experiment
 from stabrenyi.fitting import NoiseFit
 from stabrenyi.recordio import (
     BIT_ORDER,
@@ -19,7 +23,20 @@ from stabrenyi.recordio import (
     write_records,
     write_report,
 )
-from stabrenyi.states import gamma_state
+from stabrenyi.states import MAX_QUBITS, gamma_state
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+#: The faults a fuzzed record file may carry.
+FAULTS = ("header", "id", "word", "count", "bitstring", "key", "line")
+
+#: Arbitrary JSON values, for fields and lines of fuzzed record files.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
 
 
 def _sample_data(seed=4) -> ExperimentData:
@@ -53,9 +70,7 @@ class TestRecordRoundTrip:
 
     def test_omitted_seed_reads_as_none(self):
         data = ExperimentData(
-            n=1,
-            state_label="custom",
-            records=(ShotRecord(clifford_ids=(0,), counts={"0": 4}),),
+            n=1, state_label="custom", clifford_ids=[[0]], counts=[[4, 0]]
         )
         buf = io.StringIO()
         write_records(data, buf)
@@ -72,6 +87,21 @@ class TestRecordRoundTrip:
         assert header["bit_order"] == BIT_ORDER == "msb-first"
         assert header["n"] == 2
         assert header["state_label"] == "gamma-2-3"
+
+    def test_bitstrings_only_for_nonzero_counts(self):
+        data = ExperimentData(
+            n=2, state_label="x", clifford_ids=[[3, 17], [0, 0]],
+            counts=[[0, 5, 0, 2], [0, 0, 0, 0]],
+        )
+        buf = io.StringIO()
+        write_records(data, buf)
+        lines = [json.loads(line) for line in buf.getvalue().splitlines()[1:]]
+        assert lines == [
+            {"clifford_ids": [3, 17], "counts": {"01": 5, "11": 2}},
+            {"clifford_ids": [0, 0], "counts": {}},
+        ]
+        buf.seek(0)
+        assert read_records(buf) == data
 
     def test_blank_lines_tolerated(self):
         buf = io.StringIO()
@@ -210,6 +240,49 @@ class TestRecordErrors:
         lines[0] = lines[0][:-1] + ', "n": 3}'
         self._expect("\n".join(lines), "line 1: repeated key 'n'")
 
+    def test_repeated_report_key_rejected(self):
+        doc = '{"format": "rm-report", "estimates": {"purity": 1, "purity": 0.5}}'
+        with pytest.raises(RecordFormatError, match="repeated key 'purity'"):
+            read_report(io.StringIO(doc))
+        with pytest.raises(RecordFormatError, match="repeated key 'format'"):
+            read_report(io.StringIO('{"format": "rm-report", "format": "rm-report"}'))
+
+    def test_too_many_qubits_rejected_on_header(self):
+        lines = self._lines()
+        header = json.loads(lines[0])
+        header["n"] = MAX_QUBITS + 1
+        lines[0] = json.dumps(header)
+        fragment = f"line 1: n must be a positive integer at most {MAX_QUBITS}"
+        self._expect("\n".join(lines), fragment)
+
+    def test_shots_beyond_int64_rejected(self):
+        lines = self._lines()
+        lines[2] = '{"clifford_ids": [0, 1], "counts": {"00": %d}}' % 2**63
+        self._expect("\n".join(lines), "line 3: more shots than an int64")
+        lines[2] = '{"clifford_ids": [0, 1], "counts": {"00": %d, "11": %d}}' % (
+            2**62, 2**62
+        )
+        self._expect("\n".join(lines), "line 3: more shots than an int64")
+
+    def test_stops_reading_at_the_first_bad_line(self):
+        # read_records streams: a bad line 3 ends the read there, and no
+        # later line is pulled from the handle.
+        lines = self._lines() + self._lines()[1:] * 100
+        lines[2] = '{"clifford_ids": [0, 1], "counts": {"00": 0}}'
+        served = []
+
+        class Handle:
+            read = None  # a file-like handle, not a path
+
+            def __iter__(self):
+                for line in lines:
+                    served.append(line)
+                    yield line + "\n"
+
+        with pytest.raises(RecordFormatError, match="line 3: count for '00'"):
+            read_records(Handle())
+        assert len(served) == 3
+
     def test_all_boolean_file_does_not_load(self):
         # Every integer slot holds a JSON boolean; Python's bool is an int
         # subclass, so this file once loaded and estimated a purity.
@@ -291,3 +364,82 @@ class TestReports:
         }
         # the section must be JSON-serializable as-is
         json.dumps(section)
+
+
+class TestRecordProperties:
+    """Write/read round trips of arbitrary arrays, and fuzzed record files
+    that may fail only with RecordFormatError."""
+
+    @staticmethod
+    @st.composite
+    def experiments(draw):
+        n = draw(st.integers(1, 4))
+        units = draw(st.integers(1, 6))
+        return ExperimentData(
+            n=n,
+            state_label=draw(st.text(min_size=1, max_size=8)),
+            clifford_ids=draw(
+                hnp.arrays(np.int64, (units, n), elements=st.integers(0, 23))
+            ),
+            counts=draw(
+                hnp.arrays(
+                    np.int64, (units, 2**n),
+                    elements=st.integers(0, 2**40) | st.integers(0, 3),
+                )
+            ),
+            seed=draw(st.none() | st.integers(-(2**70), 2**70)),
+        )
+
+    @PROPERTY
+    @given(experiments())
+    def test_write_read_round_trip(self, data):
+        buf = io.StringIO()
+        write_records(data, buf)
+        buf.seek(0)
+        assert read_records(buf) == data
+
+    @staticmethod
+    @st.composite
+    def record_files(draw):
+        """A valid record file given one fault: one value at or past the edge
+        of a check, arbitrary JSON, or an arbitrary line."""
+        n = draw(st.integers(1, 3))
+        header = {"format": "rm-records", "format_version": 1, "n": n,
+                  "state_label": "x", "bit_order": "msb-first", "seed": 0}
+        bits = st.text("01", min_size=n, max_size=n)
+        units = draw(st.lists(st.fixed_dictionaries({
+            "clifford_ids": st.lists(st.integers(0, 23), min_size=n, max_size=n),
+            "counts": st.dictionaries(bits, st.integers(1, 1000), max_size=4),
+        }), min_size=1, max_size=3))
+        edges = st.sampled_from([-1, 0, 1, 23, 24, 2**63 - 1, 2**63]) | JSON_VALUES
+        lines = [header, *units]
+        fault = draw(st.sampled_from(FAULTS))
+        obj = draw(st.sampled_from(units))
+        if fault == "header":
+            header[draw(st.sampled_from(list(header)))] = draw(edges)
+        elif fault == "id":
+            obj["clifford_ids"][draw(st.integers(0, n - 1))] = draw(edges)
+        elif fault == "word":
+            obj["clifford_ids"] = draw(st.lists(edges, max_size=n + 1) | edges)
+        elif fault == "count":
+            obj["counts"][draw(bits)] = draw(edges)
+        elif fault == "bitstring":
+            obj["counts"][draw(st.text(max_size=4))] = draw(edges)
+        elif fault == "key":
+            obj = draw(st.sampled_from(lines))
+            key = draw(st.sampled_from(list(obj)) | st.text(max_size=12))
+            if obj.pop(key, None) is None:
+                obj[key] = draw(edges)
+        else:  # an arbitrary line
+            line = JSON_VALUES.map(json.dumps) | st.text(max_size=20)
+            lines.insert(draw(st.integers(0, len(lines))), draw(line))
+        return "\n".join(o if isinstance(o, str) else json.dumps(o) for o in lines)
+
+    @settings(PROPERTY, max_examples=600)
+    @given(record_files())
+    def test_fuzzed_lines_raise_only_record_format_errors(self, text):
+        try:
+            data = read_records(io.StringIO(text))
+        except RecordFormatError:
+            return
+        assert isinstance(data, ExperimentData)

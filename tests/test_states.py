@@ -165,6 +165,14 @@ class TestApplication:
         with pytest.raises(ValueError):
             Circuit(n=2, gates=(("cx", 1, 1),))
 
+    def test_clifford_word_validation(self):
+        for ids in ((24,), (-1,), (1.7,), (True,), (np.bool_(True),), (2.0,)):
+            with pytest.raises(ValueError):
+                CliffordWord(ids=ids)
+        word = CliffordWord(ids=(np.int64(5), np.uint8(23), 0))
+        assert word.ids == (5, 23, 0)
+        assert all(type(c) is int for c in word.ids)
+
 
 class TestSampling:
     def test_outcome_distribution_normalized(self):
@@ -180,10 +188,13 @@ class TestSampling:
         probs = outcome_distribution(plus_state(2))
         a = sample_counts(probs, 100, 11)
         b = sample_counts(probs, 100, 11)
-        assert a == b
-        assert sum(a.values()) == 100
-        assert all(len(k) == 2 and set(k) <= {"0", "1"} for k in a)
-        assert all(v > 0 for v in a.values())
+        assert np.array_equal(a, b)
+        assert a.shape == (4,) and a.dtype == np.int64
+        assert a.sum() == 100
+        assert np.all(a >= 0)
+        # the one draw: a multinomial over the clipped, renormalised probs
+        want = np.random.default_rng(11).multinomial(100, probs / probs.sum())
+        assert np.array_equal(a, want)
 
     def test_sample_counts_validation(self):
         with pytest.raises(ValueError):

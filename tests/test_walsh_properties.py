@@ -19,15 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import hadamard
 
-from stabrenyi.estimator import (
-    ExperimentData,
-    ShotRecord,
-    counts_vector,
-    estimate,
-    plugin_word_estimates,
-    ustat_word_estimates,
-    word_estimates,
-)
+from stabrenyi.estimator import ExperimentData, estimate, word_estimates
 from stabrenyi.oracle import walsh_z_expectations, word_statistics
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -100,15 +92,8 @@ def experiments(draw):
     matrix = draw(hnp.arrays(np.int64, (units, 2**n), elements=st.integers(0, 30)))
     matrix[:, 0] += 4
     ids = draw(hnp.arrays(np.int64, (units, n), elements=st.integers(0, 23)))
-    records = tuple(
-        ShotRecord(
-            clifford_ids=tuple(int(c) for c in word),
-            counts={format(i, f"0{n}b"): int(c) for i, c in enumerate(row) if c},
-        )
-        for word, row in zip(ids, matrix)
-    )
     order = draw(st.permutations(range(units)))
-    return ExperimentData(n=n, state_label="x", records=records), order
+    return ExperimentData(n=n, state_label="x", clifford_ids=ids, counts=matrix), order
 
 
 @PROPERTY
@@ -116,7 +101,10 @@ def experiments(draw):
 def test_estimate_invariant_under_record_permutation(case, method):
     data, order = case
     shuffled = ExperimentData(
-        n=data.n, state_label="x", records=tuple(data.records[k] for k in order)
+        n=data.n,
+        state_label="x",
+        clifford_ids=data.clifford_ids[order],
+        counts=data.counts[order],
     )
     base, perm = estimate(data, method), estimate(shuffled, method)
     assert perm.per_word_stab_purity == tuple(
@@ -136,18 +124,17 @@ def test_estimate_invariant_under_record_permutation(case, method):
 def test_batched_per_word_equals_one_row_calls(case, method):
     data, _ = case
     report = estimate(data, method)
-    one_row = ustat_word_estimates if method == "ustat" else plugin_word_estimates
-    for k, record in enumerate(data.records):
-        w_c, p_c = one_row(counts_vector(record.counts, data.n), data.n)
-        assert w_c == report.per_word_stab_purity[k]
-        assert p_c == report.per_word_purity[k]
+    for k in range(len(data.counts)):
+        w_c, p_c = word_estimates(data.counts[k : k + 1], data.n, method)
+        assert w_c[0] == report.per_word_stab_purity[k]
+        assert p_c[0] == report.per_word_purity[k]
 
 
 @PROPERTY
 @given(experiments())
 def test_plugin_rows_are_word_statistics_of_frequencies(case):
     data, _ = case
-    counts = np.stack([counts_vector(r.counts, data.n) for r in data.records])
+    counts = data.counts
     w_arr, p_arr = word_estimates(counts, data.n, "plugin")
     for row, w_c, p_c in zip(counts, w_arr, p_arr):
         assert word_statistics(row / row.sum(), data.n) == (w_c, p_c)
