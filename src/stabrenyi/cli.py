@@ -267,10 +267,13 @@ def _cmd_fit_scaling(args: argparse.Namespace) -> int:
     points = json.loads(args.points)
     for point in points if isinstance(points, list) else [points]:
         # JSON numbers parse to int or float exactly; type() also excludes bool.
+        # The bound compares exactly: it refuses NaN, inf and ints a float cannot hold.
         if not (isinstance(point, list) and len(point) == 2 and _is_int(point[0])
-                and type(point[1]) in (int, float) and math.isfinite(point[1])):
+                and type(point[1]) in (int, float)
+                and all(abs(v) <= sys.float_info.max for v in point)):
             raise ValueError(f"--points entry {json.dumps(point)} is not a "
-                             "[t, n_total] pair of an integer and a number")
+                             "[t, n_total] pair of an integer and a number, "
+                             "both within the float range")
     fit = fit_resource_scaling([p[0] for p in points], [p[1] for p in points], args.n)
     _emit({"a": fit.a, "b": fit.b, "r_squared": fit.r_squared}, args.out)
     return EXIT_OK

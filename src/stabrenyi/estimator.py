@@ -63,7 +63,10 @@ class ExperimentData:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        limits = (("clifford_ids", self.n, N_CLIFFORD), ("counts", 2**self.n, np.inf))
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n must be an integer of at least 1, not {n!r}")
+        limits = (("clifford_ids", n, N_CLIFFORD), ("counts", 2**n, np.inf))
         for name, width, upper in limits:
             arr = np.asarray(getattr(self, name))
             if arr.dtype.kind not in "iu":

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from contextlib import nullcontext
 from pathlib import Path
 from typing import IO, Any
 
@@ -54,16 +55,16 @@ class RecordFormatError(ValueError):
 
 
 def _open_maybe(path_or_file: str | Path | IO[str], mode: str):
+    """A context manager for the handle; only a file opened here is closed."""
     if hasattr(path_or_file, "read") or hasattr(path_or_file, "write"):
-        return path_or_file, False
-    return open(path_or_file, mode, encoding="utf-8"), True
+        return nullcontext(path_or_file)
+    return open(path_or_file, mode, encoding="utf-8")
 
 
 def write_records(data: ExperimentData, path_or_file: str | Path | IO[str]) -> None:
     """Serialize an experiment to a JSON Lines record file, one line per
     unit with its nonzero counts keyed by msb-first bitstrings."""
-    handle, owned = _open_maybe(path_or_file, "w")
-    try:
+    with _open_maybe(path_or_file, "w") as handle:
         header = {
             "format": RECORD_FORMAT,
             "format_version": FORMAT_VERSION,
@@ -80,9 +81,6 @@ def write_records(data: ExperimentData, path_or_file: str | Path | IO[str]) -> N
             keys = [format(b, width) for b in hit.tolist()]
             line = {"clifford_ids": ids, "counts": dict(zip(keys, row[hit].tolist()))}
             handle.write(json.dumps(line, sort_keys=True) + "\n")
-    finally:
-        if owned:
-            handle.close()
 
 
 def _is_int(value: Any) -> bool:
@@ -146,8 +144,7 @@ def read_records(path_or_file: str | Path | IO[str]) -> ExperimentData:
     line numbers; the id and count arrays are built once, at the end."""
     ids: list[list[int]] = []
     rows: list[dict[str, int]] = []
-    handle, owned = _open_maybe(path_or_file, "r")
-    try:
+    with _open_maybe(path_or_file, "r") as handle:
         lines = ((no, raw.strip()) for no, raw in enumerate(handle, 1))
         lines = ((no, text) for no, text in lines if text)
         header_no, header_text = next(lines, (0, ""))
@@ -183,9 +180,6 @@ def read_records(path_or_file: str | Path | IO[str]) -> ExperimentData:
             word, row = _parse_unit(text, lineno, n)
             ids.append(word)
             rows.append(row)
-    finally:
-        if owned:
-            handle.close()
     if not ids:
         raise RecordFormatError("no records after the header")
     counts = np.zeros((len(ids), 2**n), dtype=np.int64)
@@ -256,27 +250,19 @@ def noise_fit_section(fit: NoiseFit) -> dict[str, Any]:
 
 
 def write_report(doc: dict[str, Any], path_or_file: str | Path | IO[str]) -> None:
-    handle, owned = _open_maybe(path_or_file, "w")
-    try:
+    with _open_maybe(path_or_file, "w") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    finally:
-        if owned:
-            handle.close()
 
 
 def read_report(path_or_file: str | Path | IO[str]) -> dict[str, Any]:
-    handle, owned = _open_maybe(path_or_file, "r")
-    try:
+    with _open_maybe(path_or_file, "r") as handle:
         try:
             doc = json.load(handle, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise RecordFormatError(
                 f"line {exc.lineno}: invalid JSON ({exc.msg})"
             ) from exc
-    finally:
-        if owned:
-            handle.close()
     if not isinstance(doc, dict) or doc.get("format") != REPORT_FORMAT:
         raise RecordFormatError(f"not a {REPORT_FORMAT!r} document")
     return doc

@@ -361,9 +361,11 @@ class TestFitScalingCommand:
             ("[[1, 7], 5, [3, 4]]", "5"),
             ("5", "5"),
             ('{"1": 7000}', '{"1": 7000}'),
+            (f"[[1, 7], [2, 1{'0' * 400}], [3, 4]]", f"[2, 1{'0' * 400}]"),
+            (f"[[1, 7], [1{'0' * 400}, 5], [3, 4]]", f"[1{'0' * 400}, 5]"),
         ],
         ids=["bool-t", "float-t", "short", "long", "bool-total", "string-total",
-             "nan-total", "scalar-entry", "scalar", "object"],
+             "nan-total", "scalar-entry", "scalar", "object", "huge-total", "huge-t"],
     )
     def test_malformed_points_are_a_domain_error(self, capsys, points, entry):
         code = main(["fit-scaling", "--points", points, "--n", "3"])

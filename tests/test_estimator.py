@@ -185,6 +185,13 @@ class TestRecords:
         for ids, counts in bad:
             with pytest.raises(ValueError):
                 ExperimentData(n=1, state_label="x", clifford_ids=ids, counts=counts)
+        # An empty Clifford word (n = 0), or an n that is not an integer.
+        for n in (0, -1, True, 1.0):
+            with pytest.raises(ValueError, match="n must be"):
+                ExperimentData(
+                    n=n, state_label="x", clifford_ids=np.zeros((1, 0), np.int64),
+                    counts=[[5]],
+                )
         # ... and on record lines, each named by its line number.
         for line in (
             '{"clifford_ids": [24], "counts": {"0": 1}}',
