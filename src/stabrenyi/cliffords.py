@@ -56,9 +56,12 @@ def _build_group() -> np.ndarray:
                     new_frontier.append(prod)
         frontier = new_frontier
 
+    # invariant: built once at import from fixed generators; H and S generate
+    # the 24-element group modulo phase.
     assert len(elements) == 24, f"expected 24 Clifford elements, got {len(elements)}"
     ordered = sorted(elements.values(), key=_matrix_key, reverse=True)
     stack = np.stack(ordered)
+    # invariant: build-time; the identity has the largest key of the 24.
     assert np.allclose(stack[0], ident), "identity must sort to id 0"
     return stack
 

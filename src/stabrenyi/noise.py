@@ -8,11 +8,12 @@ and a phase displacement ``epsilon`` inside every random local Clifford.
 The displaced single-qubit measurement ensemble averages to a corrected
 four-copy projector Q1(eps), built here both from its closed form (permutation
 conjugacy-class sums over the four copies) and by brute-force averaging over
-the 24 Cliffords; the two must agree entrywise.  On top of that sit exact
-noisy-observable predictions, the g(eps)/Omega correction of a measured
+the 24 Cliffords; the two must agree entrywise.  W_eps contracts the Pauli
+table with Q1(eps) written as 16 weighted fourth powers.  On top of that sit
+exact noisy-observable predictions, the g(eps)/Omega correction of a measured
 stabilizer purity, closed-form solvers for (p, q, epsilon), a readout-aware
-purity model for fitting p from dressed data, and Haar-averaged statistics
-of an arbitrary Pauli channel.
+purity model for fitting p from dressed data, and Haar-averaged statistics of
+an arbitrary Pauli channel.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .states import (
     MixedState,
     StateVector,
     _apply_1q,
-    as_mixture,
     pauli_z_on,
 )
 
@@ -68,7 +68,7 @@ __all__ = [
     "haar_channel_stats",
 ]
 
-#: w_epsilon materializes 2**(4n) vectors; keep the register small.
+#: w_epsilon materializes a (16,)*n table (8 MB at n = 5); keep the register small.
 MAX_CONTRACTION_QUBITS = 5
 
 
@@ -289,7 +289,7 @@ def readout_channel(probs: np.ndarray, q: float) -> np.ndarray:
     size = probs.shape[-1] if probs.ndim else 0
     if size == 0 or (size & (size - 1)):
         raise ValueError("probs must have length 2**n along its last axis")
-    if np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-12):
+    if not np.all(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-12):
         raise ValueError("each distribution in probs must sum to 1")
     n = size.bit_length() - 1
     flip = np.array([[q, 1.0 - q], [1.0 - q, q]])
@@ -298,52 +298,46 @@ def readout_channel(probs: np.ndarray, q: float) -> np.ndarray:
     return probs
 
 
-def _apply_16_at(vec: np.ndarray, n: int, op16: np.ndarray, qubit: int) -> np.ndarray:
-    """Apply a 16x16 operator to the four copies of one qubit of a 4n-qubit
-    register (copy-major layout: copy c's qubit i is axis c*n + i)."""
-    axes = (qubit, n + qubit, 2 * n + qubit, 3 * n + qubit)
-    tensor = vec.reshape([2] * (4 * n))
-    tensor = np.moveaxis(tensor, axes, (0, 1, 2, 3))
-    rest = tensor.shape[4:]
-    flat = tensor.reshape(16, -1)
-    flat = op16 @ flat
-    tensor = flat.reshape((2, 2, 2, 2) + rest)
-    return np.moveaxis(tensor, (0, 1, 2, 3), axes).reshape(-1)
+def _q1_epsilon_rows(epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """(beta, mu) with Q1(eps) = sum_m mu_m B_m^{x4}, B_m = sum_a beta[m, a] sigma_a.
+
+    B_m runs over (P_eps c)^+ sigma (P_eps c) for the 24 Cliffords c, with B and
+    -B merged: sigma = I gives I (mu = 1/4), sigma = Z the unit X, Y, Z rows
+    (1/12 each), sigma = X, Y four rotated rows per (X,Y), (Y,Z), (Z,X) plane."""
+    c, s = math.cos(epsilon), math.sin(epsilon)
+    beta = np.zeros((16, 4))
+    beta[:4] = np.eye(4)
+    row = 4
+    for a, b in ((1, 2), (2, 3), (3, 1)):
+        for u, v in ((c, s), (c, -s), (s, c), (s, -c)):
+            beta[row, a], beta[row, b] = u, v
+            row += 1
+    mu = np.array([1 / 4] + [1 / 12] * 3 + [1 / 24] * 12)
+    return beta, mu
 
 
 def w_epsilon(state: StateVector | MixedState, epsilon: float) -> float:
-    """W_eps(rho) = tr(rho^{x4} Q1(eps)^{xn}) by exact dense contraction.
+    """W_eps(rho) = tr(rho^{x4} Q1(eps)^{xn}) from the Pauli table t of rho.
 
-    The fourth tensor power of the mixture is expanded into rank-1 terms
-    (one 2**(4n) vector each); copy-permutation symmetry of Q1(eps) reduces
-    the (n_terms)^4 tuples to multisets with multinomial weights.
+    With Q1(eps) = sum_m mu_m B_m^{x4}, tr(rho B_{m_1} x ... x B_{m_n}) is
+    (beta^{xn} t)_m, so W_eps = sum_m prod_i mu_{m_i} (beta^{xn} t)_m^4: apply
+    beta along every axis of t, take fourth powers, contract each axis with mu.
     """
     n = state.n
     if n > MAX_CONTRACTION_QUBITS:
         raise ValueError(f"w_epsilon limited to n <= {MAX_CONTRACTION_QUBITS}")
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon={epsilon} must be finite")
     if float(epsilon) == 0.0:
         return stab_purity_exact(state)
-    mixture = as_mixture(state)
-    op16 = q1_epsilon(epsilon).matrix
-    total = 0.0
-    for combo in itertools.combinations_with_replacement(range(len(mixture.terms)), 4):
-        weight = math.prod(mixture.terms[k][0] for k in combo)
-        if weight == 0.0:
-            continue
-        counts: dict[int, int] = {}
-        for k in combo:
-            counts[k] = counts.get(k, 0) + 1
-        multiplicity = math.factorial(4)
-        for c in counts.values():
-            multiplicity //= math.factorial(c)
-        vec = mixture.terms[combo[0]][1].amplitudes
-        for k in combo[1:]:
-            vec = np.kron(vec, mixture.terms[k][1].amplitudes)
-        out = vec
-        for qubit in range(n):
-            out = _apply_16_at(out, n, op16, qubit)
-        total += multiplicity * weight * float(np.real(np.vdot(vec, out)))
-    return total
+    beta, mu = _q1_epsilon_rows(float(epsilon))
+    table = pauli_table(state).values.reshape((4,) * n)
+    for _ in range(n):
+        table = np.tensordot(table, beta, axes=([0], [1]))
+    table = table**4
+    for _ in range(n):
+        table = table @ mu
+    return float(table)
 
 
 def w_eps_zero(epsilon: float) -> float:
@@ -394,6 +388,8 @@ def solve_p(p_exp: float, state: StateVector) -> float:
 def solve_q(p_exp_zero: float, n: int) -> float:
     """Readout fidelity from the measured purity of |0>^n (positive branch):
     q = (1 + sqrt(2 P^{1/n} - 1))/2."""
+    if n < 1:
+        raise ValueError(f"qubit count {n} must be at least 1")
     if not 0.0 < p_exp_zero <= 1.0 + 1e-12:
         raise InfeasibleNoiseError(f"measured purity {p_exp_zero} outside (0, 1]")
     u = float(p_exp_zero) ** (1.0 / n)
@@ -402,6 +398,8 @@ def solve_q(p_exp_zero: float, n: int) -> float:
             f"per-qubit purity {u:.4f} below 0.5: no real readout fidelity"
         )
     q = 0.5 * (1.0 + math.sqrt(max(2.0 * u - 1.0, 0.0)))
+    # invariant: n >= 1 and the checks above leave u in [1/2, 1] up to 1e-12,
+    # where q^2 + (1-q)^2 = u holds exactly; only rounding separates the sides.
     assert abs(q**2 + (1 - q) ** 2 - u) < 1e-12
     return q
 
@@ -426,7 +424,8 @@ def solve_epsilon(w_exp_zero: float, q: float, n: int) -> float:
             f"{arg:.4f})"
         )
     eps = 0.25 * math.acos(min(max(arg, -1.0), 1.0))
-    assert abs(w_chi(q, eps) - u) < 1e-9, "forward model must close the round trip"
+    if not abs(w_chi(q, eps) - u) < 1e-9:
+        raise ValueError(f"q={q}: rounding breaks the closed form's round trip")
     return eps
 
 
@@ -451,10 +450,10 @@ def predict_noisy_observables(
     Returns W(psi_p), P(psi_p), their ratio, W_eps(psi_p), g(eps), Omega.
     """
     rho_p = prep_channel(state, p)
+    w_eps = w_epsilon(rho_p, epsilon)
     w_noisy = stab_purity_exact(rho_p)
     purity_noisy = purity_exact(rho_p)
     g = g_factor(epsilon, state.n)
-    w_eps = w_epsilon(rho_p, epsilon)
     return {
         "w_noisy": w_noisy,
         "purity_noisy": purity_noisy,
@@ -535,7 +534,7 @@ def haar_channel_stats(
     q = np.asarray(q_probs, dtype=float)
     if q.ndim != 1 or q.size != len(pauli_strings):
         raise ValueError("need one probability per Pauli string")
-    if np.any(q < -1e-12) or abs(float(q.sum()) - 1.0) > 1e-9:
+    if np.any(q < -1e-12) or not abs(float(q.sum()) - 1.0) <= 1e-9:
         raise ValueError("channel probabilities must form a distribution")
     d = 2**n
     # chi(P_i, P) over all P: product over qubits of the single-qubit rule

@@ -119,6 +119,8 @@ def pauli_table(state: StateVector | MixedState) -> PauliTable:
         tensor = np.tensordot(_PAULIS_1Q, tensor, axes=([1, 2], [n, qubit]))
         tensor = np.moveaxis(tensor, 0, qubit)
     values = tensor.reshape(4**n)
+    # invariant: Paulis are Hermitian and rho is a finite mixture of states
+    # with finite norm 1 (NaN is refused on construction), so tr(P rho) is real.
     assert np.max(np.abs(values.imag)) < 1e-9, "Pauli expectations must be real"
     return PauliTable(n=n, values=values.real.copy())
 
@@ -145,6 +147,8 @@ def xi_distribution(state: StateVector | MixedState) -> XiDistribution:
     d = 2**table.n
     weights = table.values**2 / (d * purity_exact(state))
     total = float(weights.sum())
+    # invariant: sum_P tr(P rho)^2 = d tr(rho^2) for any finite state (NaN is
+    # refused on construction), so only rounding separates the total from 1.
     assert abs(total - 1.0) < 1e-10, "Xi must normalize to 1"
     return XiDistribution(n=table.n, probabilities=weights / total)
 
@@ -154,8 +158,8 @@ def stabilizer_renyi(state: StateVector | MixedState, alpha: float = 2.0) -> flo
 
     alpha = 1 is the Shannon limit; alpha = inf uses -log2 max Xi.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not alpha >= 0:
+        raise ValueError(f"alpha={alpha} must be nonnegative")
     xi = xi_distribution(state).probabilities
     if np.isinf(alpha):
         s_alpha = -np.log2(float(xi.max()))

@@ -19,7 +19,9 @@ calibration table.  Reports survive a write/read round trip losslessly.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
+from collections.abc import Iterator
 from contextlib import nullcontext
 from pathlib import Path
 from typing import IO, Any
@@ -50,15 +52,39 @@ REPORT_FORMAT = "rm-report"
 FORMAT_VERSION = 1
 
 
+#: Undecodable bytes, as the "surrogateescape" error handler maps them.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
 class RecordFormatError(ValueError):
     """A record or report file does not match the expected schema."""
 
 
 def _open_maybe(path_or_file: str | Path | IO[str], mode: str):
-    """A context manager for the handle; only a file opened here is closed."""
+    """A context manager for the handle; only a file opened here is closed.
+    A file opened for reading keeps bytes that are not UTF-8 as surrogate
+    escapes, so that ``_utf8_lines`` can name the line that holds them."""
     if hasattr(path_or_file, "read") or hasattr(path_or_file, "write"):
         return nullcontext(path_or_file)
-    return open(path_or_file, mode, encoding="utf-8")
+    errors = "surrogateescape" if mode == "r" else "strict"
+    return open(path_or_file, mode, encoding="utf-8", errors=errors)
+
+
+def _utf8_lines(handle: IO[str]) -> Iterator[str]:
+    """The handle's lines; bytes that are not UTF-8 raise RecordFormatError.
+
+    A caller's strict handle (stdin) decodes ahead in chunks, so its error
+    cannot name the line."""
+    lineno = 0
+    try:
+        for lineno, line in enumerate(handle, 1):
+            if _ESCAPED_BYTE.search(line):
+                raise RecordFormatError(f"line {lineno}: bytes that are not UTF-8")
+            yield line
+    except UnicodeDecodeError as exc:
+        raise RecordFormatError(
+            f"bytes that are not UTF-8 after line {lineno} ({exc.reason})"
+        ) from None
 
 
 def write_records(data: ExperimentData, path_or_file: str | Path | IO[str]) -> None:
@@ -145,7 +171,7 @@ def read_records(path_or_file: str | Path | IO[str]) -> ExperimentData:
     ids: list[list[int]] = []
     rows: list[dict[str, int]] = []
     with _open_maybe(path_or_file, "r") as handle:
-        lines = ((no, raw.strip()) for no, raw in enumerate(handle, 1))
+        lines = ((no, raw.strip()) for no, raw in enumerate(_utf8_lines(handle), 1))
         lines = ((no, text) for no, text in lines if text)
         header_no, header_text = next(lines, (0, ""))
         if not header_no:
@@ -257,8 +283,9 @@ def write_report(doc: dict[str, Any], path_or_file: str | Path | IO[str]) -> Non
 
 def read_report(path_or_file: str | Path | IO[str]) -> dict[str, Any]:
     with _open_maybe(path_or_file, "r") as handle:
+        text = "".join(_utf8_lines(handle))
         try:
-            doc = json.load(handle, object_pairs_hook=_unique_keys)
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise RecordFormatError(
                 f"line {exc.lineno}: invalid JSON ({exc.msg})"

@@ -66,7 +66,7 @@ class StateVector:
                 f"expected {2**self.n} amplitudes for n={self.n}, got shape {amps.shape}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"statevector norm {norm} drifted beyond {_NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -89,7 +89,7 @@ class MixedState:
         weights = np.array([w for w, _ in terms], dtype=float)
         if np.any(weights < -1e-12):
             raise ValueError("mixture weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > 1e-9:
+        if not abs(weights.sum() - 1.0) <= 1e-9:
             raise ValueError(f"mixture weights sum to {weights.sum()}, expected 1")
         for _, psi in terms:
             if psi.n != self.n:
@@ -319,9 +319,7 @@ def outcome_distribution(state: StateVector | MixedState) -> np.ndarray:
             probs += weight * np.abs(psi.amplitudes) ** 2
     else:
         probs = np.abs(state.amplitudes) ** 2
-    total = float(probs.sum())
-    assert abs(total - 1.0) < 1e-9, "outcome probabilities drifted from 1"
-    return probs / total
+    return probs / probs.sum()
 
 
 def sample_counts(
@@ -335,7 +333,7 @@ def sample_counts(
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or probs.size == 0 or (probs.size & (probs.size - 1)):
         raise ValueError("probs must have length 2**n")
-    if np.any(probs < -1e-12) or abs(float(probs.sum()) - 1.0) > 1e-9:
+    if np.any(probs < -1e-12) or not abs(float(probs.sum()) - 1.0) <= 1e-9:
         raise ValueError("probs must be a probability distribution")
     if n_shots < 1:
         raise ValueError("n_shots must be positive")

@@ -111,6 +111,21 @@ class TestOracleCommand:
         # Renyi entropies are non-increasing in alpha
         assert renyi["0.5"] >= renyi["1"] >= renyi["2"] >= renyi["inf"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--theta", "nan"],
+            ["--theta", "inf"],
+            ["--theta", "0.3", "--alpha", "nan"],
+            ["--theta", "0.3", "--alpha", "2,nan"],
+        ],
+    )
+    def test_nan_parameters_are_domain_errors(self, capsys, argv):
+        # --theta nan once died with an AssertionError traceback (exit 1) and
+        # --alpha nan wrote a bare NaN into the report (exit 0)
+        code, out = _run(capsys, "oracle", "--state", "ptheta", *argv)
+        assert code == EXIT_DOMAIN and out == ""
+
     def test_writes_to_file(self, capsys, tmp_path):
         out = tmp_path / "oracle.json"
         code, stdout = _run(
@@ -320,6 +335,16 @@ class TestPredictCommand:
         for key, value in want.items():
             assert doc[key] == pytest.approx(value, abs=1e-12)
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+    def test_non_finite_eps_is_a_domain_error(self, capsys, eps):
+        code = main([
+            "predict", "--state", "gamma", "--n", "2", "--t", "2",
+            "--p", "0.9", f"--eps={eps}",
+        ])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN and captured.out == ""
+        assert "must be finite" in captured.err
+
     def test_default_eps_zero(self, capsys):
         doc = _run_json(
             capsys,
@@ -398,6 +423,21 @@ class TestExitCodes:
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"format": "csv"}\n')
         code, _ = _run(capsys, "estimate", "--records", str(bad))
+        assert code == EXIT_DATA
+
+    def test_records_that_are_not_utf8_are_3(self, capsys, tmp_path, monkeypatch):
+        good = tmp_path / "good.jsonl"
+        _run(capsys, "simulate", "--state", "zero", "--n", "1", "--nu", "3",
+             "--nm", "8", "--seed", "0", "--out", str(good))
+        lines = good.read_bytes().split(b"\n")
+        lines[2] = b"\xff\xfe"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\n".join(lines))
+        assert main(["estimate", "--records", str(bad)]) == EXIT_DATA
+        assert "line 3" in capsys.readouterr().err
+        stdin = io.TextIOWrapper(io.BytesIO(bad.read_bytes()), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, _ = _run(capsys, "estimate", "--records", "-")
         assert code == EXIT_DATA
 
     def test_domain_error_is_5(self, capsys):

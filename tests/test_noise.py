@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabrenyi.noise import (
     InfeasibleNoiseError,
@@ -38,18 +41,61 @@ from stabrenyi.noise import (
     w_eps_zero,
     w_epsilon,
     z_square_sum,
+    _kron_power,
+    _q1_epsilon_rows,
 )
 from stabrenyi.oracle import (
+    _PAULIS_1Q,
     haar_random_state,
     purity_exact,
     stab_purity_exact,
 )
 from stabrenyi.states import (
+    as_mixture,
     gamma_state,
     plus_state,
     ptheta_state,
     zero_state,
 )
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _apply_16_at(vec: np.ndarray, n: int, op16: np.ndarray, qubit: int) -> np.ndarray:
+    """Apply a 16x16 operator to the four copies of one qubit of a 4n-qubit
+    register (copy-major layout: copy c's qubit i is axis c*n + i)."""
+    axes = (qubit, n + qubit, 2 * n + qubit, 3 * n + qubit)
+    tensor = vec.reshape([2] * (4 * n))
+    tensor = np.moveaxis(tensor, axes, (0, 1, 2, 3))
+    rest = tensor.shape[4:]
+    flat = op16 @ tensor.reshape(16, -1)
+    tensor = flat.reshape((2, 2, 2, 2) + rest)
+    return np.moveaxis(tensor, (0, 1, 2, 3), axes).reshape(-1)
+
+
+def _w_epsilon_dense(state, eps: float) -> float:
+    """Reference W_eps: tr(rho^{x4} Q1(eps)^{xn}) on 2**(4n)-amplitude vectors.
+
+    The fourth power of the mixture is expanded into Kronecker products of
+    its terms; Q1(eps) commutes with copy permutations, so each multiset of
+    terms is contracted once, with its multinomial weight."""
+    n = state.n
+    terms = as_mixture(state).terms
+    op16 = q1_epsilon(eps).matrix
+    total = 0.0
+    for combo in itertools.combinations_with_replacement(range(len(terms)), 4):
+        weight = math.prod(terms[k][0] for k in combo)
+        multiplicity = math.factorial(4)
+        for k in set(combo):
+            multiplicity //= math.factorial(combo.count(k))
+        vec = terms[combo[0]][1].amplitudes
+        for k in combo[1:]:
+            vec = np.kron(vec, terms[k][1].amplitudes)
+        out = vec
+        for qubit in range(n):
+            out = _apply_16_at(out, n, op16, qubit)
+        total += multiplicity * weight * float(np.real(np.vdot(vec, out)))
+    return total
 
 
 class TestNoiseParams:
@@ -179,6 +225,10 @@ class TestReadoutChannel:
         assert abs(out.sum() - 1.0) < 1e-12
         assert np.all(out >= 0)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            readout_channel(np.array([math.nan, math.nan]), 0.9)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             readout_channel(np.array([0.5, 0.3, 0.2]), 0.9)
@@ -220,8 +270,6 @@ class TestWEpsilon:
         # reference: expand the mixture fourth power without multiset tricks
         from itertools import product as iproduct
 
-        from stabrenyi.noise import _apply_16_at
-
         op16 = q1_epsilon(eps).matrix
         want = 0.0
         for combo in iproduct(range(len(mix.terms)), repeat=4):
@@ -238,6 +286,54 @@ class TestWEpsilon:
     def test_register_guard(self):
         with pytest.raises(ValueError):
             w_epsilon(zero_state(6), 0.3)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_epsilon_must_be_finite(self, eps):
+        with pytest.raises(ValueError, match="finite"):
+            w_epsilon(zero_state(1), eps)
+        with pytest.raises(ValueError, match="finite"):
+            predict_noisy_observables(gamma_state(2, 2), 0.9, eps)
+
+    @PROPERTY
+    @given(
+        n=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        p=st.none() | st.floats(0.0, 1.0),
+        eps=st.floats(-2 * math.pi, 2 * math.pi),
+    )
+    def test_matches_dense_contraction(self, n, seed, p, eps):
+        state = haar_random_state(n, seed)
+        if p is not None:
+            state = prep_channel(state, p)
+        want = _w_epsilon_dense(state, eps)
+        assert abs(w_epsilon(state, eps) - want) <= 1e-12 * want
+
+    def test_matches_dense_contraction_at_four_qubits(self):
+        state = prep_channel(gamma_state(4, 6), 0.9)
+        want = _w_epsilon_dense(state, 0.3)
+        assert abs(w_epsilon(state, 0.3) - want) <= 1e-12 * want
+
+
+class TestQ1Decomposition:
+    """Q1(eps) = sum_m mu_m B_m^{x4}, the 16 rows w_epsilon contracts with."""
+
+    @pytest.mark.parametrize(
+        "eps",
+        [0.0, math.pi / 4, math.pi / 2, -math.pi / 4, 1e-9]
+        + list(np.linspace(-4.0, 4.0, 21)),
+    )
+    def test_rows_sum_to_q1_epsilon(self, eps):
+        beta, mu = _q1_epsilon_rows(eps)
+        ops = np.einsum("ma,aij->mij", beta, _PAULIS_1Q)
+        total = sum(m * _kron_power(b, 4) for m, b in zip(mu, ops))
+        assert np.max(np.abs(total - q1_epsilon(eps).matrix)) < 1e-12
+        assert np.max(np.abs(total - q1_epsilon_brute(eps).matrix)) < 1e-12
+
+    def test_weights_are_a_distribution(self):
+        beta, mu = _q1_epsilon_rows(0.3)
+        assert beta.shape == (16, 4) and mu.shape == (16,)
+        assert abs(mu.sum() - 1.0) < 1e-15
+        assert np.all(mu > 0)
 
 
 class TestPurityProtection:
@@ -298,6 +394,18 @@ class TestSolvers:
 
     def test_solve_epsilon_anchor(self):
         assert solve_epsilon(0.10, 1.0, 3) == pytest.approx(0.35763, abs=1e-4)
+
+    def test_solve_q_needs_a_qubit(self):
+        # a negative n once reached the round-trip assert: p**(-1) is huge
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                solve_q(1e-10, n)
+
+    def test_solve_epsilon_reports_lost_round_trip(self):
+        # far outside [0, 1], rounding in the closed form breaks the inverse
+        q = 1e6
+        with pytest.raises(ValueError, match="round trip"):
+            solve_epsilon(w_chi(q, 0.3), q, 1)
 
     def test_solve_epsilon_infeasible(self):
         with pytest.raises(InfeasibleNoiseError):
@@ -412,6 +520,8 @@ class TestHaarChannelStats:
             haar_channel_stats([0.5, 0.6], ["I", "Z"], 1)
         with pytest.raises(ValueError):
             haar_channel_stats([1.0], ["Q"], 1)
+        with pytest.raises(ValueError):
+            haar_channel_stats([math.nan], ["I"], 1)
 
     def test_phase_gate_matrix(self):
         g = phase_gate(0.3)

@@ -138,6 +138,12 @@ class TestRenyiFamily:
         )
         assert abs(stabilizer_renyi(state, math.inf) - want) < 1e-12
 
+    @pytest.mark.parametrize("alpha", [math.nan, -0.5, -math.inf])
+    def test_alpha_must_be_nonnegative(self, alpha):
+        # NaN once passed the `alpha < 0` check and returned NaN
+        with pytest.raises(ValueError, match="nonnegative"):
+            stabilizer_renyi(ptheta_state(0.6), alpha)
+
     def test_xi_normalized(self):
         for n in (1, 2, 3):
             xi = xi_distribution(haar_random_state(n, seed=n))

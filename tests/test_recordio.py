@@ -264,6 +264,27 @@ class TestRecordErrors:
         )
         self._expect("\n".join(lines), "line 3: more shots than an int64")
 
+    @pytest.mark.parametrize(
+        "bad", [b"\xff\xfe", b'{"clifford_ids": [0, 1], "counts": {"0\xc3\x28": 1}}']
+    )
+    def test_bytes_that_are_not_utf8(self, tmp_path, bad):
+        lines = [line.encode() for line in self._lines()]
+        data = b"\n".join(lines[:2] + [bad] + lines[3:]) + b"\n"
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(data)
+        # a file opened here names the line; a strict caller's handle decodes
+        # ahead in chunks, so its error comes before that line is reached
+        with pytest.raises(RecordFormatError, match="line 3: bytes that are not UTF-8"):
+            read_records(path)
+        with pytest.raises(RecordFormatError, match="not UTF-8"):
+            read_records(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+
+    def test_non_ascii_label_round_trips(self, tmp_path):
+        data = simulate_experiment(gamma_state(2, 3), 2, 8, seed=1, state_label="γ-état")
+        path = tmp_path / "label.jsonl"
+        write_records(data, path)
+        assert read_records(path) == data
+
     def test_stops_reading_at_the_first_bad_line(self):
         # read_records streams: a bad line 3 ends the read there, and no
         # later line is pulled from the handle.
@@ -348,6 +369,15 @@ class TestReports:
         with pytest.raises(RecordFormatError) as err:
             read_report(io.StringIO('{"format": "rm-report",\n  broken'))
         assert "line 2" in str(err.value)
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        data = b'{\n  "format": "rm-report",\n  "state_label": "\xc3\x28"\n}\n'
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(RecordFormatError, match="line 3: bytes that are not UTF-8"):
+            read_report(path)
+        with pytest.raises(RecordFormatError, match="not UTF-8"):
+            read_report(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
 
     def test_noise_fit_section(self):
         fit = NoiseFit(

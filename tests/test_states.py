@@ -68,6 +68,14 @@ class TestConstructors:
         with pytest.raises(ValueError):
             StateVector(n=1, amplitudes=np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        # NaN once passed the norm check, which was written `> tol`
+        with pytest.raises(ValueError, match="norm"):
+            StateVector(n=1, amplitudes=np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="norm"):
+            ptheta_state(bad)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             StateVector(n=2, amplitudes=np.array([1.0, 0.0]))
@@ -78,6 +86,12 @@ class TestConstructors:
             MixedState(n=1, terms=((0.5, psi),))
         with pytest.raises(ValueError):
             MixedState(n=1, terms=((-0.1, psi), (1.1, psi)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        psi = zero_state(1)
+        with pytest.raises(ValueError, match="sum to"):
+            MixedState(n=1, terms=((bad, psi), (0.5, psi)))
 
     def test_as_mixture_wraps_pure(self):
         psi = plus_state(1)
@@ -184,6 +198,14 @@ class TestSampling:
         probs = outcome_distribution(mix)
         assert np.allclose(probs, [0.75, 0.25])
 
+    def test_outcome_distribution_at_the_constructor_tolerances(self):
+        # weights 1e-9 and norms 1e-10 off, each accepted by its constructor,
+        # together drift the total by 1.1e-9; this once raised AssertionError
+        psi = StateVector(n=1, amplitudes=np.array([1.0 + 0.99e-10, 0.0]))
+        weight = 0.5 + 0.45e-9
+        mix = MixedState(n=1, terms=((weight, psi), (weight, psi)))
+        assert np.array_equal(outcome_distribution(mix), [1.0, 0.0])
+
     def test_sample_counts_deterministic(self):
         probs = outcome_distribution(plus_state(2))
         a = sample_counts(probs, 100, 11)
@@ -203,3 +225,5 @@ class TestSampling:
             sample_counts(np.array([0.9, 0.2]), 10, 0)
         with pytest.raises(ValueError):
             sample_counts(np.array([0.5, 0.5]), 0, 0)
+        with pytest.raises(ValueError, match="distribution"):
+            sample_counts(np.array([np.nan, 1.0]), 10, 0)
