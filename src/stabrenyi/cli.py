@@ -209,6 +209,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
                 raise RecordFormatError(
                     f"grid file {args.grid}: invalid JSON ({exc.msg})"
                 ) from exc
+            except UnicodeDecodeError as exc:
+                raise RecordFormatError(
+                    f"grid file {args.grid}: bytes that are not UTF-8 ({exc.reason})"
+                ) from None
         spec = spec if isinstance(spec, dict) else {}
         units, shots = spec.get("unit_grid"), spec.get("shot_grid")
         for grid in (units, shots):
@@ -279,6 +283,14 @@ def _cmd_fit_scaling(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _add_command(sub, name: str, help_text: str) -> argparse.ArgumentParser:
+    """A subcommand parser whose help ends with the shared conventions."""
+    return sub.add_parser(
+        name, help=help_text, epilog=_EPILOG,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stabrenyi",
@@ -289,10 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_oracle = sub.add_parser(
-        "oracle", help="exact values for a named state", epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p_oracle = _add_command(sub, "oracle", "exact values for a named state")
     _add_state_args(p_oracle)
     p_oracle.add_argument(
         "--alpha", default="2",
@@ -301,10 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--out", help="output file (default stdout)")
     p_oracle.set_defaults(func=_cmd_oracle)
 
-    p_sim = sub.add_parser(
-        "simulate", help="sample a randomized-measurement record file",
-        epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p_sim = _add_command(sub, "simulate", "sample a randomized-measurement record file")
     _add_state_args(p_sim)
     p_sim.add_argument("--nu", type=int, required=True, help="number of Clifford words")
     p_sim.add_argument("--nm", type=int, required=True, help="shots per word")
@@ -315,10 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", help="record file (default stdout)")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_est = sub.add_parser(
-        "estimate", help="estimate from a record file", epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p_est = _add_command(sub, "estimate", "estimate from a record file")
     p_est.add_argument("--records", required=True, help="record file ('-' for stdin)")
     p_est.add_argument(
         "--method", choices=("ustat", "plugin"), default="ustat",
@@ -330,9 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--out", help="report file (default stdout)")
     p_est.set_defaults(func=_cmd_estimate)
 
-    p_fit = sub.add_parser(
-        "fit-noise", help="fit (p, q, epsilon) from zero-state and target records",
-        epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter,
+    p_fit = _add_command(
+        sub, "fit-noise", "fit (p, q, epsilon) from zero-state and target records"
     )
     p_fit.add_argument(
         "--records-zero", required=True, help="record file measured on |0...0>"
@@ -345,10 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out", help="report file (default stdout)")
     p_fit.set_defaults(func=_cmd_fit_noise)
 
-    p_cal = sub.add_parser(
-        "calibrate", help="grid-search resource requirements", epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p_cal = _add_command(sub, "calibrate", "grid-search resource requirements")
     _add_state_args(p_cal)
     p_cal.add_argument(
         "--grid", default="default",
@@ -367,10 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--out", help="report file (default stdout)")
     p_cal.set_defaults(func=_cmd_calibrate)
 
-    p_pred = sub.add_parser(
-        "predict", help="exact noisy-observable predictions", epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p_pred = _add_command(sub, "predict", "exact noisy-observable predictions")
     _add_state_args(p_pred)
     p_pred.add_argument("--p", type=float, required=True, help="survival probability")
     p_pred.add_argument(
@@ -379,10 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--out", help="output file (default stdout)")
     p_pred.set_defaults(func=_cmd_predict)
 
-    p_scale = sub.add_parser(
-        "fit-scaling", help="fit the resource scaling law over t", epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p_scale = _add_command(sub, "fit-scaling", "fit the resource scaling law over t")
     p_scale.add_argument(
         "--points", required=True,
         help='JSON array of [t, n_total] pairs, e.g. "[[1,7000],[2,5000]]"',

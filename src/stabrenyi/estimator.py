@@ -181,15 +181,39 @@ def estimate(data: ExperimentData, method: str = "ustat") -> EstimateReport:
     )
 
 
-def _word_probs(
-    state: StateVector, outer: np.ndarray, inner: np.ndarray | None, noise: NoiseParams
+def word_outcome_probs(
+    state: StateVector,
+    outer_ids: np.ndarray | tuple[int, ...],
+    *,
+    inner_ids: np.ndarray | tuple[int, ...] | None = None,
+    noise: NoiseParams = NoiseParams(),
 ) -> np.ndarray:
-    """``word_outcome_probs`` of U units at once, bit for bit: (U, n) outer
-    (and, when eps != 0, inner) Clifford ids give (U, 2**n) distributions."""
-    mats = CLIFFORD_1Q[outer]
+    """Exact outcome distributions under the noise model: dephasing
+    preparation, per-qubit unitary outer . phase(eps) . inner (plain outer
+    Clifford when eps = 0), then readout bit flips.
+
+    One word of n outer ids (and n inner ids when eps != 0) gives its (2**n,)
+    distribution; a (U, n) block of words gives a (U, 2**n) array whose rows
+    carry exactly the bits of one-word calls.  The ids are checked once per
+    call.
+    """
+    outer = np.asarray(outer_ids)
+    if outer.ndim not in (1, 2) or outer.shape[-1] != state.n:
+        raise ValueError("word length must equal qubit count")
+    inner = None
     if noise.epsilon != 0.0:
+        if inner_ids is None or np.shape(inner_ids) != outer.shape:
+            raise ValueError("a nonzero displacement needs an inner Clifford word")
+        inner = np.asarray(inner_ids)
+    for ids in (outer, inner):
+        if ids is not None and (
+            ids.dtype.kind not in "iu" or np.any((ids < 0) | (ids >= N_CLIFFORD))
+        ):
+            raise ValueError(f"Clifford ids must be integers in [0, {N_CLIFFORD})")
+    mats = CLIFFORD_1Q[outer]
+    if inner is not None:
         mats = (mats @ phase_gate(noise.epsilon)) @ CLIFFORD_1Q[inner]
-    probs = np.zeros((len(outer), 2**state.n))
+    probs = np.zeros((*outer.shape[:-1], 2**state.n))
     for weight, term in prep_channel(state, noise.p).terms:
         probs += weight * np.abs(_apply_local(term.amplitudes, mats)) ** 2
     if noise.q != 1.0:
@@ -197,24 +221,93 @@ def _word_probs(
     return probs
 
 
-def word_outcome_probs(
-    state: StateVector,
-    outer_ids: tuple[int, ...],
-    *,
-    inner_ids: tuple[int, ...] | None = None,
-    noise: NoiseParams = NoiseParams(),
-) -> np.ndarray:
-    """Exact outcome distribution for one measurement unit under the noise
-    model: dephasing preparation, per-qubit unitary outer . phase(eps) . inner
-    (plain outer Clifford when eps = 0), then readout bit flips."""
-    if len(outer_ids) != state.n:
-        raise ValueError("word length must equal qubit count")
-    if noise.epsilon != 0.0 and (inner_ids is None or len(inner_ids) != state.n):
-        raise ValueError("a nonzero displacement needs an inner Clifford word")
-    ids = np.array([outer_ids, inner_ids if noise.epsilon else outer_ids])
-    if ids.dtype.kind not in "iu" or np.any((ids < 0) | (ids >= N_CLIFFORD)):
-        raise ValueError(f"Clifford ids must be integers in [0, {N_CLIFFORD})")
-    return _word_probs(state, ids[:1], ids[1:] if noise.epsilon else None, noise)[0]
+# numpy's SeedSequence hash: its constants, on uint32 words.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _hashmix(value, const, mult: int = _MULT_A):
+    """One hash step on uint32 words (Python ints or arrays) with the hash
+    constant ``const``; returns the hashed words and the advanced constant.
+    An array of successive constants runs that many steps side by side, and
+    ``mult=_MULT_B`` gives the output words of ``generate_state``."""
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ (value >> 16), const
+
+
+def _mix(x, y):
+    """Mix a hashed word y into the pool word x (Python ints or uint32 arrays)."""
+    value = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _successive(const: int, mult: int, count: int) -> np.ndarray:
+    """The uint32 hash constants of ``count`` successive steps from ``const``."""
+    consts = [const]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """The (stop - start, 4) uint64 words of
+    ``SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(4, np.uint64)``
+    for k in [start, stop), with numpy's hash run over all keys at once.
+
+    The entropy is the seed's little-endian uint32 words ([0] for 0),
+    zero-padded to the pool size because a spawn key is present, then the
+    key word.  Everything before the key word depends on the seed alone and
+    runs once on Python ints.  The key's mix-in into the 4 pool words and
+    the 8 output words are then one (B, 4) and one (B, 8) uint32 step.
+    """
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, not {seed!r}")
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, not {seed}")
+    if stop > 2**32:
+        raise ValueError("unit index beyond 2**32 - 1: a spawn key is one uint32 word")
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        hashed, const = _hashmix(word, const)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            hashed, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], hashed)
+    keys = np.arange(start, stop, dtype=np.uint32)[:, None]
+    hashed, _ = _hashmix(keys, _successive(const, _MULT_A, _POOL_SIZE))
+    pool = _mix(np.array(pool, dtype=np.uint32), hashed)
+    out, _ = _hashmix(
+        np.tile(pool, 2), _successive(_INIT_B, _MULT_B, 2 * _POOL_SIZE), _MULT_B
+    )
+    return out.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Hands ``PCG64`` the four seed words ``_seed_words`` computed for one
+    unit, so that numpy's own set-seed gives the unit's generator."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != len(self.words) or np.dtype(dtype) != self.words.dtype:
+            raise ValueError("holds exactly the four uint64 words of a PCG64 seed")
+        return self.words
 
 
 def simulate_experiment(
@@ -228,15 +321,18 @@ def simulate_experiment(
 ) -> ExperimentData:
     """Sample a full randomized-measurement data set.
 
-    Each measurement unit k draws from its own deterministic substream
-    (SeedSequence(seed, spawn_key=(k,))).  Units run in blocks of at most
+    Each measurement unit k draws from its own deterministic substream, the
+    generator ``default_rng(SeedSequence(seed, spawn_key=(k,)))`` would give;
+    the seed words of a whole block come from one vectorised run of numpy's
+    hash (``_seed_words``).  Units run in blocks of at most
     ``_BLOCK_AMPLITUDES / 2**n``, each block in three passes: (1) every unit
     draws its recorded Clifford word, then -- only when the displacement is
-    nonzero -- its hidden inner word; (2) one batched call gives every
-    unit's outcome distribution, row for row equal to ``word_outcome_probs``;
-    (3) every unit, in order, draws its multinomial shot counts.  Each
-    substream thus sees the draws of a unit simulated alone, and the
-    noiseless configuration is bit-identical to NoiseParams(1, 1, 0).
+    nonzero -- its hidden inner word; (2) one ``word_outcome_probs`` call
+    gives every unit's outcome distribution; (3) one ``sample_counts`` call
+    checks the block and draws every unit's multinomial shot counts from its
+    own generator, in order.  Each substream thus sees the draws of a unit
+    simulated alone, and the noiseless configuration is bit-identical to
+    NoiseParams(1, 1, 0).
     """
     if n_units < 1 or n_shots < 1:
         raise ValueError("need at least one unit and one shot")
@@ -247,21 +343,18 @@ def simulate_experiment(
     for start in range(0, n_units, block):
         stop = min(start + block, n_units)
         rngs = [
-            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-            for k in range(start, stop)
+            np.random.Generator(np.random.PCG64(_SeedWords(words)))
+            for words in _seed_words(seed, start, stop)
         ]
         ids[start:stop] = [rng.integers(0, N_CLIFFORD, size=n) for rng in rngs]
         inner = None
         if noise.epsilon != 0.0:
             inner = np.array([rng.integers(0, N_CLIFFORD, size=n) for rng in rngs])
-        probs = _word_probs(state, ids[start:stop], inner, noise)
-        for k, (rng, row) in enumerate(zip(rngs, probs), start):
-            counts[k] = sample_counts(row, n_shots, rng)
+        probs = word_outcome_probs(state, ids[start:stop], inner_ids=inner, noise=noise)
+        counts[start:stop] = sample_counts(probs, n_shots, rngs)
     return ExperimentData(
         n=n, state_label=state_label, clifford_ids=ids, counts=counts, seed=seed
     )
-
-
 def variance_bound(
     n: int, n_shots: int, value: float, quantity: str = "stab_purity"
 ) -> float:

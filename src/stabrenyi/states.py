@@ -15,6 +15,7 @@ One kernel applies every single-qubit operator, along a qubit axis of a
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -323,20 +324,36 @@ def outcome_distribution(state: StateVector | MixedState) -> np.ndarray:
 
 
 def sample_counts(
-    probs: np.ndarray, n_shots: int, seed: int | np.random.Generator
+    probs: np.ndarray,
+    n_shots: int,
+    seed: int | np.random.Generator | Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Draw multinomial shot counts: an int64 vector indexed like ``probs``.
+    """Draw multinomial shot counts: int64 counts indexed like ``probs``.
 
-    Identical (probs, n_shots, seed) always give identical counts: a single
-    multinomial draw from one generator.
+    ``probs`` is one (2**n,) distribution with an int seed or a Generator,
+    or a (U, 2**n) block of them with a sequence of U generators, one per
+    row.  The block is checked once and normalised as a whole; then each
+    row is one multinomial draw from its own generator, so a block row gets
+    the bits of a one-row call.  Identical (probs, n_shots, seed) always give
+    identical counts.
     """
     probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1 or probs.size == 0 or (probs.size & (probs.size - 1)):
+    width = probs.shape[-1] if probs.ndim in (1, 2) else 0
+    if not width or width & (width - 1):
         raise ValueError("probs must have length 2**n")
-    if np.any(probs < -1e-12) or not abs(float(probs.sum()) - 1.0) <= 1e-9:
+    rows = probs.reshape(-1, width)
+    sums = rows.sum(axis=1, keepdims=True)
+    if np.any(rows < -1e-12) or not np.all(np.abs(sums - 1.0) <= 1e-9):
         raise ValueError("probs must be a probability distribution")
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return rng.multinomial(n_shots, np.clip(probs, 0.0, None) / probs.sum())
-
+    if probs.ndim == 1:
+        rngs = [np.random.default_rng(seed)]  # a Generator passes through as is
+    else:
+        rngs = list(seed)
+        if len(rngs) != len(rows):
+            raise ValueError(f"{len(rngs)} generators for {len(rows)} rows of probs")
+    counts = np.empty(rows.shape, dtype=np.int64)
+    for out, rng, row in zip(counts, rngs, np.clip(rows, 0.0, None) / sums):
+        out[:] = rng.multinomial(n_shots, row)
+    return counts.reshape(probs.shape)

@@ -1,7 +1,9 @@
-"""Properties of the batched word probabilities and the batched readout channel.
+"""Properties of the batched word probabilities, the batched readout channel
+and the block shot sampler.
 
 Simulation computes the outcome distributions of a block of measurement
-units as one (U, 2**n) array.  The record bytes stay fixed only if every row
+units as one (U, 2**n) array and draws their counts with one
+``sample_counts`` call, one generator per row.  The record bytes stay fixed only if every row
 carries exactly the bits a unit computed alone would: so batched rows are
 checked bitwise against one-row calls, against any split into blocks, and
 against a per-word reference kept here that applies each gate with
@@ -20,12 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabrenyi.cliffords import CLIFFORD_1Q, N_CLIFFORD
-from stabrenyi.estimator import (
-    ExperimentData,
-    _word_probs,
-    simulate_experiment,
-    word_outcome_probs,
-)
+from stabrenyi.estimator import ExperimentData, simulate_experiment, word_outcome_probs
 from stabrenyi.noise import (
     NoiseParams,
     phase_gate,
@@ -100,7 +97,7 @@ def word_batches(draw):
 @given(word_batches())
 def test_batched_rows_equal_one_row_calls_and_reference(case):
     state, outer, inner, noise = case
-    batch = _word_probs(state, outer, inner if noise.epsilon else None, noise)
+    batch = word_outcome_probs(state, outer, inner_ids=inner, noise=noise)
     assert batch.shape == (len(outer), 2**state.n)
     for row, o, i in zip(batch, outer.tolist(), inner.tolist()):
         one = word_outcome_probs(state, tuple(o), inner_ids=tuple(i), noise=noise)
@@ -113,10 +110,15 @@ def test_batched_rows_equal_one_row_calls_and_reference(case):
 def test_any_block_split_gives_same_bits(case, cuts):
     state, outer, inner, noise = case
     inner = inner if noise.epsilon else None
-    whole = _word_probs(state, outer, inner, noise)
+    whole = word_outcome_probs(state, outer, inner_ids=inner, noise=noise)
     bounds = [0, *sorted(c for c in cuts if c < len(outer)), len(outer)]
     pieces = [
-        _word_probs(state, outer[a:b], None if inner is None else inner[a:b], noise)
+        word_outcome_probs(
+            state,
+            outer[a:b],
+            inner_ids=None if inner is None else inner[a:b],
+            noise=noise,
+        )
         for a, b in zip(bounds, bounds[1:])
         if b > a
     ]
@@ -136,6 +138,56 @@ def test_batched_readout_rows_equal_1d_calls(n, lead, q, seed):
     assert dressed.shape == probs.shape
     for index in np.ndindex(*lead):
         assert np.array_equal(dressed[index], readout_channel(probs[index], q))
+
+
+@st.composite
+def probability_blocks(draw):
+    """(probs, seeds): 1-12 rows of 2**n outcome probabilities, n = 1..6,
+    some entries zero or a hair below zero, and one generator seed per row."""
+    n = draw(st.integers(1, 6))
+    units = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    alpha = draw(st.sampled_from([0.05, 0.5, 5.0]))
+    probs = np.random.default_rng(seed).dirichlet(np.full(2**n, alpha), size=units)
+    probs[:, 0] -= draw(st.sampled_from([0.0, 1e-13]))
+    return probs, [seed + k for k in range(units)]
+
+
+@PROPERTY
+@given(probability_blocks(), st.integers(1, 1000))
+def test_block_sampling_equals_one_row_calls(block, n_shots):
+    probs, seeds = block
+    got = sample_counts(probs, n_shots, [np.random.default_rng(s) for s in seeds])
+    assert got.shape == probs.shape and got.dtype == np.int64
+    for row, counts, s in zip(probs, got, seeds):
+        one = sample_counts(row, n_shots, np.random.default_rng(s))
+        assert np.array_equal(counts, one)
+
+
+@PROPERTY
+@given(probability_blocks(), st.data(), st.sampled_from(["nan", "negative", "sum"]))
+def test_one_bad_row_fails_the_block(block, data, fault):
+    probs, seeds = block
+    row = data.draw(st.integers(0, len(probs) - 1))
+    if fault == "nan":
+        probs[row, 1] = np.nan
+    elif fault == "negative":  # the sum stays 1 to rounding
+        probs[row, 1] += probs[row, 0] + 1e-11
+        probs[row, 0] = -1e-11
+    else:
+        probs[row] *= 1.0 + 1e-6
+    rngs = [np.random.default_rng(s) for s in seeds]
+    with pytest.raises(ValueError, match="probability distribution"):
+        sample_counts(probs, 10, rngs)
+
+
+@PROPERTY
+@given(probability_blocks(), st.sampled_from([-1, 1]))
+def test_block_needs_one_generator_per_row(block, extra):
+    probs, seeds = block
+    rngs = [np.random.default_rng(s) for s in [*seeds, 0]][: len(seeds) + extra]
+    with pytest.raises(ValueError, match="generators"):
+        sample_counts(probs, 10, rngs)
 
 
 def per_unit_simulation(state, n_units, n_shots, seed, noise) -> ExperimentData:

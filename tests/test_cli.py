@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -322,6 +323,20 @@ class TestCalibrateCommand:
         assert f"grid file {grid}" in captured.err
 
 
+    def test_undecodable_grid_file_is_a_data_error(self, capsys, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_bytes(b"\xff")
+        code = main([
+            "calibrate", "--state", "zero", "--n", "1",
+            "--grid", str(grid), "--trials", "3", "--seed", "0",
+        ])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"grid file {grid}" in captured.err
+        assert "not UTF-8" in captured.err
+
+
 class TestPredictCommand:
     def test_matches_library(self, capsys):
         from stabrenyi.noise import predict_noisy_observables
@@ -456,6 +471,20 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
 
 
+#: sha256 of each ``--help`` text at 80 columns, pinned before the subparsers'
+#: shared epilog and formatter moved into one helper.
+HELP_DIGESTS = {
+    "": "707785a4a7a43b20da0a3271744634544c24361539f55d6f1c08739047429c32",
+    "oracle": "77f5519d958cdaf2ce5ad179e6e8d8f3628d8cd922617cd9e2e800dcc59d8f15",
+    "simulate": "f63b45cc3b4d928e13ed250b2d34ed8bf4aa58fc0e3dc80e2e2d4afe1d68fc1a",
+    "estimate": "03551214945e7a37a6b57c596a6e2b1ae0b02124897997c4a8f2531df9514147",
+    "fit-noise": "761bafd79f644194d12310fb1c8b9e475b4d99d6087ba6f9b5f17d6328b037a9",
+    "calibrate": "13dd45a99ecb6e29254787663af701fd153a26a42c24c3dc3c1472a0a536931f",
+    "predict": "d000aeb9713fd65f46b489d48e4a4988fbdd0786279bc51227bc23d4d55031f3",
+    "fit-scaling": "ab7b599e394930404e47802bf6f0ac12417b7c792258633fd43d03ef884a0ee1",
+}
+
+
 class TestHelpAndVersion:
     def test_help_documents_conventions(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -471,6 +500,15 @@ class TestHelpAndVersion:
         assert err.value.code == 0
         out = capsys.readouterr().out
         assert "msb-first" in out
+
+    @pytest.mark.parametrize("command", list(HELP_DIGESTS))
+    def test_help_text_is_pinned(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as err:
+            main([command, "--help"] if command else ["--help"])
+        assert err.value.code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]
 
     def test_version(self, capsys):
         from stabrenyi import __version__

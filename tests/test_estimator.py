@@ -340,6 +340,20 @@ class TestWordOutcomeProbs:
         with pytest.raises(ValueError):
             word_outcome_probs(zero_state(2), (0,))
 
+    def test_block_shapes(self):
+        state = gamma_state(2, 2)
+        outer = np.array([[0, 5], [7, 23], [11, 2]])
+        noise = NoiseParams(0.9, 0.95, 0.3)
+        block = word_outcome_probs(state, outer, inner_ids=outer[::-1], noise=noise)
+        assert block.shape == (3, 4)
+        assert word_outcome_probs(state, outer[0]).shape == (4,)
+        with pytest.raises(ValueError, match="inner Clifford word"):
+            word_outcome_probs(state, outer, inner_ids=outer[:2], noise=noise)
+        with pytest.raises(ValueError, match="word length"):
+            word_outcome_probs(state, outer[None])
+        with pytest.raises(ValueError, match="Clifford ids must be integers"):
+            word_outcome_probs(state, np.array([[0, 1], [2, 24]]))
+
     @pytest.mark.parametrize(
         "outer, inner", [((1.7,), (0,)), ((24,), (0,)), ((-1,), (0,)), ((0,), (2.5,))]
     )
