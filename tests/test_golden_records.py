@@ -20,7 +20,10 @@ import json
 
 import pytest
 
-from stabrenyi.cli import EXIT_OK, main
+from stabrenyi.cli import EXIT_OK, main, state_from_label
+from stabrenyi.estimator import estimate
+from stabrenyi.fitting import fit_noise
+from stabrenyi.recordio import read_records
 
 GOLDEN_RECORDS = [
     (
@@ -115,17 +118,37 @@ def test_estimate_report_bytes_are_frozen(tmp_path, record, method, digest):
     assert _digest(out) == digest
 
 
-def test_fit_noise_report_bytes_are_frozen(tmp_path):
+def _fit_noise_records(tmp_path):
     zero, target = tmp_path / "zero.jsonl", tmp_path / "target.jsonl"
     common = ["--nu", "300", "--nm", "300", "--noise", "0.85,0.95,0.3"]
     assert main(["simulate", "--state", "zero", "--n", "3", *common,
                  "--seed", "1", "--out", str(zero)]) == EXIT_OK
     assert main(["simulate", "--state", "gamma", "--n", "3", "--t", "4", *common,
                  "--seed", "2", "--out", str(target)]) == EXIT_OK
+    return zero, target
+
+
+def test_fit_noise_report_bytes_are_frozen(tmp_path):
+    zero, target = _fit_noise_records(tmp_path)
     out = tmp_path / "report.json"
     assert main(["fit-noise", "--records-zero", str(zero), "--records", str(target),
                  "--out", str(out)]) == EXIT_OK
     assert _digest(out) == FIT_NOISE_DIGEST
+
+
+def test_fit_noise_values_are_pinned(tmp_path):
+    """The fit behind FIT_NOISE_DIGEST, as literals: a solver change may move
+    the last digits of p and the finite-difference errors, but no further."""
+    zero, target = _fit_noise_records(tmp_path)
+    zero_data, target_data = read_records(zero), read_records(target)
+    fit = fit_noise(estimate(zero_data), estimate(target_data),
+                    state_from_label(target_data.state_label))
+    assert fit.p == pytest.approx(0.8644932106070982, rel=0, abs=1e-12)
+    assert fit.q == pytest.approx(0.9412698590452371, rel=0, abs=1e-12)
+    assert fit.epsilon == pytest.approx(0.23343808903151705, rel=0, abs=1e-12)
+    assert fit.p_err == pytest.approx(0.043584244017096756, rel=1e-6)
+    assert fit.q_err == pytest.approx(0.011884112170860233, rel=1e-6)
+    assert fit.epsilon_err == pytest.approx(0.21228387825633666, rel=1e-6)
 
 
 def test_calibrate_report_bytes_are_frozen(tmp_path):
