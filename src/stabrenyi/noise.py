@@ -23,11 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .cliffords import CLIFFORD_1Q, N_CLIFFORD
 from .oracle import (
     _PAULIS_1Q,
+    _pauli_digits,
     pauli_table,
     purity_exact,
     stab_purity_exact,
@@ -473,20 +473,34 @@ def readout_dressed_purity(state: StateVector | MixedState, q: float) -> float:
     return float(np.sum(weights * table.values**2)) / 2**state.n
 
 
+def _dressed_purity_coefficients(
+    state: StateVector, q: float
+) -> tuple[float, float, float]:
+    """(A, B, C): readout_dressed_purity(prep_channel(state, p), q) = Ap^2 + Bp + C.
+
+    Dephasing scales t_P = tr(P psi) by c_P + p(1 - c_P), with c_P = 1 - 2k_P/n
+    and k_P the number of X or Y factors of P; w_P = (2q-1)^{2|P|} t_P^2 / d.
+    """
+    digits = _pauli_digits(state.n)
+    c = 1.0 - 2.0 * np.count_nonzero((digits == 1) | (digits == 2), axis=1) / state.n
+    w = ((2.0 * q - 1.0) ** 2) ** np.count_nonzero(digits, axis=1).astype(float)
+    w *= pauli_table(state).values ** 2 / 2**state.n
+    return float(w @ (1.0 - c) ** 2), 2.0 * float(w @ (c * (1.0 - c))), float(w @ c**2)
+
+
 def solve_p_readout_aware(
     p_exp: float, state: StateVector, q: float
 ) -> float:
     """Invert p from a purity measured through imperfect readout.
 
     The forward model dresses prep_channel(state, p) with the readout
-    weights; at q=1 it reduces to the plain dephasing-purity inversion.
-    Monotone in p, solved by bisection on [0, 1].
+    weights; at q=1 it reduces to the plain dephasing-purity inversion.  It
+    is a quadratic whose vertex often lies in (0, 1/2) (p = 0.25 for
+    gamma(3,4) at q = 1): purities made by p in (0, 2 vertex) fall below
+    forward(0) and are refused, and like solve_p the larger root is taken.
     """
-
-    def forward(p: float) -> float:
-        return readout_dressed_purity(prep_channel(state, p), q)
-
-    lo, hi = forward(0.0), forward(1.0)
+    a, b, c = _dressed_purity_coefficients(state, q)
+    lo, hi = c, a + b + c
     if not min(lo, hi) - 1e-9 <= p_exp <= max(lo, hi) + 1e-9:
         raise InfeasibleNoiseError(
             f"measured purity {p_exp:.4f} outside the model's reachable "
@@ -495,7 +509,10 @@ def solve_p_readout_aware(
     target = min(max(p_exp, min(lo, hi)), max(lo, hi))
     if abs(hi - lo) < 1e-15:
         return 1.0
-    return float(brentq(lambda p: forward(p) - target, 0.0, 1.0, xtol=1e-12))
+    # a > 0 here, as a = 0 forces b = 0; the larger root, without cancellation
+    root = math.sqrt(max(b * b - 4.0 * a * (c - target), 0.0))
+    p = (root - b) / (2.0 * a) if b <= 0.0 else 2.0 * (target - c) / (b + root)
+    return min(max(p, 0.0), 1.0)
 
 
 def protocol_average_1q(

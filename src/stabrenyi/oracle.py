@@ -65,7 +65,7 @@ class PauliTable:
 
     def support_sizes(self) -> np.ndarray:
         """Number of non-identity tensor factors for each Pauli index."""
-        return _support_sizes(self.n)
+        return np.count_nonzero(_pauli_digits(self.n), axis=1)
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,9 @@ class XiDistribution:
     probabilities: np.ndarray
 
 
-def _support_sizes(n: int) -> np.ndarray:
-    sizes = np.zeros(4**n, dtype=np.int64)
-    for qubit in range(n):
-        digits = (np.arange(4**n) // 4 ** (n - 1 - qubit)) % 4
-        sizes += digits != 0
-    return sizes
+def _pauli_digits(n: int) -> np.ndarray:
+    """(4**n, n) base-4 digits of every Pauli index, qubit 0 first."""
+    return (np.arange(4**n)[:, None] // 4 ** np.arange(n - 1, -1, -1)) % 4
 
 
 def _density_matrix(state: StateVector | MixedState) -> np.ndarray:

@@ -264,7 +264,10 @@ def ptheta_state(theta: float) -> StateVector:
 
     theta = pi/4 is the T state; theta = 0 and pi/2 are stabilizer states.
     """
-    amps = np.array([1.0, np.exp(1j * float(theta))], dtype=complex) / np.sqrt(2.0)
+    theta = float(theta)
+    if not np.isfinite(theta):
+        raise ValueError(f"theta={theta} gives no state of finite norm")
+    amps = np.array([1.0, np.exp(1j * theta)], dtype=complex) / np.sqrt(2.0)
     return StateVector(n=1, amplitudes=amps)
 
 

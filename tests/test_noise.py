@@ -41,6 +41,7 @@ from stabrenyi.noise import (
     w_eps_zero,
     w_epsilon,
     z_square_sum,
+    _dressed_purity_coefficients,
     _kron_power,
     _q1_epsilon_rows,
 )
@@ -432,6 +433,43 @@ class TestSolvers:
     def test_solve_p_readout_aware_range_check(self):
         with pytest.raises(InfeasibleNoiseError):
             solve_p_readout_aware(1.5, gamma_state(2, 2), 0.9)
+
+    @pytest.mark.parametrize("q", [1.0, 0.95, 0.8, 0.5])
+    def test_dressed_purity_is_quadratic_in_p(self, q):
+        for state in (gamma_state(3, 4), gamma_state(4, 6), plus_state(3),
+                      haar_random_state(4, seed=3)):
+            a, b, c = _dressed_purity_coefficients(state, q)
+            for p in np.linspace(0.0, 1.0, 11):
+                forward = readout_dressed_purity(prep_channel(state, p), q)
+                assert abs(a * p**2 + b * p + c - forward) < 1e-14
+
+    @pytest.mark.parametrize("q, vertex", [(1.0, 0.25), (0.95, 0.2286357)])
+    def test_solve_p_readout_aware_larger_root(self, q, vertex):
+        # gamma(3,4)'s forward model dips below forward(0) on (0, 2 vertex)
+        state = gamma_state(3, 4)
+        a, b, _ = _dressed_purity_coefficients(state, q)
+        assert -b / (2 * a) == pytest.approx(vertex, abs=1e-7)
+        forward_zero = readout_dressed_purity(prep_channel(state, 0.0), q)
+        for p_true in (0.5 * vertex, vertex, 1.5 * vertex):
+            dipped = readout_dressed_purity(prep_channel(state, p_true), q)
+            assert dipped < forward_zero - 1e-6
+            with pytest.raises(InfeasibleNoiseError, match="reachable range"):
+                solve_p_readout_aware(dipped, state, q)
+        # at forward(0) both 0 and 2 vertex solve; the larger root is taken,
+        # continuous with the answers just above forward(0)
+        p_edge = solve_p_readout_aware(forward_zero, state, q)
+        assert p_edge == pytest.approx(2 * vertex, abs=1e-7)
+        p_above = solve_p_readout_aware(forward_zero + 1e-9, state, q)
+        assert p_edge < p_above < p_edge + 1e-6
+
+    def test_solve_p_readout_aware_flat_model_gives_one(self):
+        # q = 0.5 erases every Pauli weight; Z-basis states ignore dephasing
+        state = gamma_state(3, 4)
+        flat = readout_dressed_purity(state, 0.5)
+        assert solve_p_readout_aware(flat, state, 0.5) == 1.0
+        zero = zero_state(3)
+        dressed = readout_dressed_purity(zero, 0.95)
+        assert solve_p_readout_aware(dressed, zero, 0.95) == 1.0
 
 
 class TestReadoutDressedPurity:
