@@ -556,9 +556,7 @@ def haar_channel_stats(
     d = 2**n
     # chi(P_i, P) over all P: product over qubits of the single-qubit rule
     # (commute unless both non-identity and different).
-    digits = np.stack(
-        [(np.arange(4**n) // 4 ** (n - 1 - k)) % 4 for k in range(n)], axis=1
-    )
+    digits = _pauli_digits(n)
     signed = np.zeros(4**n)
     for qi, string in zip(q, pauli_strings):
         sd = np.array(["IXYZ".index(ch) for ch in string])

@@ -12,7 +12,7 @@ gamma-12 seed-2022 digest is the one the benchmark pins for its
 taken before experiment data moved from per-unit count dicts to arrays; they
 gate the whole read -> estimate path, down to the last printed digit.  The
 fit-noise digest was re-pinned once, for the closed-form p solve, after its
-values had been pinned as literals.
+values had been pinned as literals: p moved by 1e-13, p_err by 1e-11 relative.
 """
 
 from __future__ import annotations
@@ -84,9 +84,7 @@ GOLDEN_ESTIMATES = [
 ]
 
 #: fit-noise on zero-3 (seed 1) and gamma 3-4 (seed 2) records, 300 x 300,
-#: both simulated with --noise 0.85,0.95,0.3.  Re-pinned when p moved from a
-#: bracketing solve to the closed-form root: p moved by 1e-13 and p_err by
-#: 1e-11 relative, inside test_fit_noise_values_are_pinned's tolerances.
+#: both simulated with --noise 0.85,0.95,0.3.
 FIT_NOISE_DIGEST = "3a203b922a56cc78f27903492f17df3afc3b4dec808d256bc9b79135974beb69"
 
 #: gamma 3-4 on a 2x2 grid, 3 trials, plugin: every cell's spread and purity
