@@ -120,6 +120,7 @@ def grid_search(
         raise ValueError("need at least 2 trials to measure spread")
     units = tuple(unit_grid) if unit_grid is not None else default_unit_grid()
     shots = tuple(shot_grid) if shot_grid is not None else default_shot_grid()
+    exact = stab_purity_exact(state) if reference == "oracle" else None
     cells = []
     cell_index = 0
     for n_units in units:
@@ -136,10 +137,7 @@ def grid_search(
                 report = estimate(data, method)
                 w_vals[trial] = report.stab_purity
                 p_vals[trial] = report.purity
-            if reference == "ensemble":
-                ref = float(w_vals.mean())
-            else:
-                ref = stab_purity_exact(state)
+            ref = float(w_vals.mean()) if exact is None else exact
             delta = float(np.mean(np.abs(w_vals - ref))) / ref
             purity_dev = abs(float(p_vals.mean()) - 1.0)
             cells.append(

@@ -228,6 +228,10 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 
+#: numpy's Lemire threshold for ``integers(0, N_CLIFFORD)``: a uint32 draw u
+#: is rejected, and another drawn, when (u * N_CLIFFORD) mod 2**32 is below it.
+_LEMIRE_REJECT = (2**32 - N_CLIFFORD) % N_CLIFFORD
+
 
 def _hashmix(value, const, mult: int = _MULT_A):
     """One hash step on uint32 words (Python ints or arrays) with the hash
@@ -310,6 +314,31 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
+def _clifford_draws(
+    seeds: np.ndarray, draws: int
+) -> tuple[np.ndarray, list[np.random.Generator]]:
+    """Per row of PCG64 seed words: the ids ``integers(0, N_CLIFFORD,
+    size=draws)`` gives, as one (B, draws) int64 array, and the unit's
+    Generator after them.
+
+    Each unit reads ceil(draws/2) raw outputs; their low then high uint32
+    halves are the ``next_uint32`` draws numpy's Lemire rule scales by
+    N_CLIFFORD, for the whole block in one step.  A unit with a draw that
+    rule rejects is redrawn by ``integers`` on a fresh generator.  Later
+    multinomial draws read whole 64-bit outputs, never the buffered half.
+    """
+    bits = [np.random.PCG64(_SeedWords(words)) for words in seeds]
+    raw = np.concatenate([bg.random_raw(-(-draws // 2)) for bg in bits])
+    halves = np.stack([raw & _MASK32, raw >> 32], axis=-1).reshape(len(bits), -1)
+    scaled = halves[:, :draws] * N_CLIFFORD
+    drawn = (scaled >> 32).astype(np.int64)
+    rngs = [np.random.Generator(bg) for bg in bits]
+    for row in np.flatnonzero(np.any((scaled & _MASK32) < _LEMIRE_REJECT, axis=1)):
+        rngs[row] = np.random.Generator(np.random.PCG64(_SeedWords(seeds[row])))
+        drawn[row] = rngs[row].integers(0, N_CLIFFORD, size=draws)
+    return drawn, rngs
+
+
 def simulate_experiment(
     state: StateVector,
     n_units: int,
@@ -327,10 +356,11 @@ def simulate_experiment(
     hash (``_seed_words``).  Units run in blocks of at most
     ``_BLOCK_AMPLITUDES / 2**n``, each block in three passes: (1) every unit
     draws its recorded Clifford word, then -- only when the displacement is
-    nonzero -- its hidden inner word; (2) one ``word_outcome_probs`` call
-    gives every unit's outcome distribution; (3) one ``sample_counts`` call
-    checks the block and draws every unit's multinomial shot counts from its
-    own generator, in order.  Each substream thus sees the draws of a unit
+    nonzero -- its hidden inner word, read from raw PCG64 outputs by
+    ``_clifford_draws``; (2) one ``word_outcome_probs`` call gives every
+    unit's outcome distribution; (3) one ``sample_counts`` call checks the
+    block and draws every unit's multinomial shot counts from its own
+    generator, in order.  Each substream thus sees the draws of a unit
     simulated alone, and the noiseless configuration is bit-identical to
     NoiseParams(1, 1, 0).
     """
@@ -340,16 +370,12 @@ def simulate_experiment(
     block = max(1, _BLOCK_AMPLITUDES >> n)
     ids = np.empty((n_units, n), dtype=np.int64)
     counts = np.empty((n_units, 2**n), dtype=np.int64)
+    draws = 2 * n if noise.epsilon != 0.0 else n
     for start in range(0, n_units, block):
         stop = min(start + block, n_units)
-        rngs = [
-            np.random.Generator(np.random.PCG64(_SeedWords(words)))
-            for words in _seed_words(seed, start, stop)
-        ]
-        ids[start:stop] = [rng.integers(0, N_CLIFFORD, size=n) for rng in rngs]
-        inner = None
-        if noise.epsilon != 0.0:
-            inner = np.array([rng.integers(0, N_CLIFFORD, size=n) for rng in rngs])
+        drawn, rngs = _clifford_draws(_seed_words(seed, start, stop), draws)
+        ids[start:stop] = drawn[:, :n]
+        inner = drawn[:, n:] if noise.epsilon != 0.0 else None
         probs = word_outcome_probs(state, ids[start:stop], inner_ids=inner, noise=noise)
         counts[start:stop] = sample_counts(probs, n_shots, rngs)
     return ExperimentData(

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabrenyi import estimator
 from stabrenyi.cliffords import CLIFFORD_1Q, N_CLIFFORD
 from stabrenyi.estimator import ExperimentData, simulate_experiment, word_outcome_probs
 from stabrenyi.noise import (
@@ -39,7 +40,7 @@ from stabrenyi.oracle import (
 )
 from stabrenyi.states import as_mixture, gamma_state, ptheta_state, sample_counts
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=60)
 
 
 def _tensordot_1q(vec: np.ndarray, n: int, gate: np.ndarray, qubit: int) -> np.ndarray:
@@ -221,6 +222,28 @@ def test_simulation_matches_per_unit_reference(n, t, n_units, noise):
     state = gamma_state(n, t)
     got = simulate_experiment(state, n_units, 50, seed=31, noise=noise)
     assert got == per_unit_simulation(state, n_units, 50, 31, noise)
+
+
+@pytest.mark.parametrize("noise", [NoiseParams(), NoiseParams(0.85, 0.95, 0.3)])
+def test_rejected_units_match_per_unit_reference(monkeypatch, noise):
+    """With the rejection threshold raised so that about half the units have
+    a rejected draw, those units redraw by ``integers`` on a fresh generator
+    (a second ``_SeedWords``), and the data are still the reference's."""
+    state = gamma_state(3, 4)
+    draws = 2 * state.n if noise.epsilon != 0.0 else state.n
+    threshold = int(2**32 * (1.0 - 0.5 ** (1.0 / draws)))  # P(no rejection) = 1/2
+    monkeypatch.setattr(estimator, "_LEMIRE_REJECT", threshold)
+    made = []
+
+    class CountedSeedWords(estimator._SeedWords):
+        def __init__(self, words):
+            made.append(words)
+            super().__init__(words)
+
+    monkeypatch.setattr(estimator, "_SeedWords", CountedSeedWords)
+    got = simulate_experiment(state, 200, 50, seed=31, noise=noise)
+    assert 60 < len(made) - 200 < 140
+    assert got == per_unit_simulation(state, 200, 50, 31, noise)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.7, math.pi / 4])

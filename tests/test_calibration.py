@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from stabrenyi import calibration
 from stabrenyi.calibration import (
     CalibrationError,
     FitResult,
@@ -18,6 +19,7 @@ from stabrenyi.calibration import (
     linear_grid,
     select_optimal,
 )
+from stabrenyi.oracle import stab_purity_exact
 from stabrenyi.states import gamma_state, ptheta_state
 
 # Resource requirements (N_U, N_M) per state, frozen from the calibrated
@@ -110,6 +112,31 @@ class TestGridSearch:
         )
         assert len(cells) == 1
         assert cells[0].trials == 4
+
+    def test_oracle_reference_is_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(state):
+            calls.append(state)
+            return stab_purity_exact(state)
+
+        monkeypatch.setattr(calibration, "stab_purity_exact", counted)
+        cells = grid_search(
+            gamma_state(3, 4),
+            unit_grid=(8, 16),
+            shot_grid=(32, 64),
+            trials=3,
+            seed=3,
+            reference="oracle",
+        )
+        assert len(calls) == 1
+        # Taken with the oracle called once per cell.
+        assert [(c.n_units, c.n_shots, c.delta, c.purity_dev) for c in cells] == [
+            (8, 32, 0.1495264098156197, 0.07560483870967738),
+            (8, 64, 0.03983153282465751, 0.012338789682539542),
+            (16, 32, 0.13655071291333637, 0.155367943548387),
+            (16, 64, 0.16161511236868162, 0.12134176587301582),
+        ]
 
     def test_validation(self):
         state = ptheta_state(0.3)

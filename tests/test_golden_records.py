@@ -22,6 +22,7 @@ import json
 
 import pytest
 
+from stabrenyi import estimator
 from stabrenyi.cli import EXIT_OK, main, state_from_label
 from stabrenyi.estimator import estimate
 from stabrenyi.fitting import fit_noise
@@ -92,15 +93,28 @@ FIT_NOISE_DIGEST = "3a203b922a56cc78f27903492f17df3afc3b4dec808d256bc9b79135974b
 CALIBRATE_DIGEST = "6063cb3be0f2a31a435bd05749d18e3e395537f9a7b7c677e3c01e880d6ca8c9"
 
 
+RECORD_CASES = [pytest.param(a, d, id=name) for name, a, d in GOLDEN_RECORDS]
+
+
 def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize(
-    "argv, digest",
-    [pytest.param(argv, digest, id=name) for name, argv, digest in GOLDEN_RECORDS],
-)
+@pytest.mark.parametrize("argv, digest", RECORD_CASES)
 def test_simulate_record_bytes_are_frozen(tmp_path, argv, digest):
+    out = tmp_path / "records.jsonl"
+    assert main(["simulate", *argv, "--out", str(out)]) == EXIT_OK
+    assert _digest(out) == digest
+
+
+@pytest.mark.parametrize("argv, digest", RECORD_CASES)
+def test_record_bytes_hold_when_units_redraw_their_ids(
+    tmp_path, monkeypatch, argv, digest
+):
+    """The simulator's rejection threshold raised to one draw in eight: from
+    an eighth of the units (one draw each) to most of them (10 or 12 draws)
+    redraw by numpy's own ``integers``, and every byte stays."""
+    monkeypatch.setattr(estimator, "_LEMIRE_REJECT", 2**32 // 8)
     out = tmp_path / "records.jsonl"
     assert main(["simulate", *argv, "--out", str(out)]) == EXIT_OK
     assert _digest(out) == digest

@@ -59,7 +59,7 @@ from stabrenyi.states import (
     zero_state,
 )
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=60)
 
 
 def _apply_16_at(vec: np.ndarray, n: int, op16: np.ndarray, qubit: int) -> np.ndarray:

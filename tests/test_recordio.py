@@ -25,7 +25,7 @@ from stabrenyi.recordio import (
 )
 from stabrenyi.states import MAX_QUBITS, gamma_state
 
-PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=300)
 
 #: The faults a fuzzed record file may carry.
 FAULTS = ("header", "id", "word", "count", "bitstring", "key", "line")

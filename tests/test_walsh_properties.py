@@ -22,7 +22,7 @@ from scipy.linalg import hadamard
 from stabrenyi.estimator import ExperimentData, estimate, word_estimates
 from stabrenyi.oracle import walsh_z_expectations, word_statistics
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=60)
 
 
 def sylvester(n: int) -> np.ndarray:
