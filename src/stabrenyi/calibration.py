@@ -1,23 +1,25 @@
 """Resource calibration: how many Clifford words and shots are enough.
 
 A grid search simulates the full estimation pipeline at each
-(n_units, n_shots) cell over repeated trials and scores the relative spread
-of the stabilizer-purity estimate and the bias of the purity estimate.  The
-cheapest acceptable cell gives the resource requirement; requirements
-collected across states of increasing complexity fit an exponential scaling
-law N_TOT = 2^(a + b x), with x the complexity deficit (2n - 1) - t.  The law
-is fitted in log space, as a straight line log2(N_TOT) = a + b x.
+(n_units, n_shots) cell over repeated trials, all of a cell's trials as one
+block of units, and scores the relative spread of the stabilizer-purity
+estimate and the bias of the purity estimate.  The cheapest acceptable cell
+gives the resource requirement; requirements collected across states of
+increasing complexity fit an exponential scaling law N_TOT = 2^(a + b x),
+with x the complexity deficit (2n - 1) - t.  The law is fitted in log
+space, as a straight line log2(N_TOT) = a + b x.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .estimator import estimate, simulate_experiment
+from .estimator import _seed_int, _simulate_blocks, word_estimates
 from .oracle import stab_purity_exact
 from .states import StateVector
 
@@ -112,44 +114,36 @@ def grid_search(
     exact oracle value with reference='oracle'.  purity_dev is the absolute
     deviation of the mean purity estimate from 1 (the state is pure).
     Every (cell, trial) pair draws from its own deterministic substream of
-    the master seed.
+    the master seed, and every argument is checked before any simulation.
+    A cell's trials run through the block simulator as one seed-major run
+    of units, block by block; each block's per-word (W_C, P_C) fill a
+    (trials, n_units) array whose row means are the trial estimates, bit
+    for bit those of ``estimate(simulate_experiment(...))`` per trial.
     """
     if reference not in ("ensemble", "oracle"):
         raise ValueError(f"unknown reference {reference!r}")
+    if method not in ("ustat", "plugin"):
+        raise ValueError(f"unknown method {method!r}; use 'ustat' or 'plugin'")
     if trials < 2:
         raise ValueError("need at least 2 trials to measure spread")
+    _seed_int(seed)
     units = tuple(unit_grid) if unit_grid is not None else default_unit_grid()
     shots = tuple(shot_grid) if shot_grid is not None else default_shot_grid()
+    need = 4 if method == "ustat" else 1
+    if any(u < 1 for u in units) or any(m < need for m in shots):
+        raise ValueError(f"every cell needs >= 1 unit and >= {need} shots ({method})")
     exact = stab_purity_exact(state) if reference == "oracle" else None
     cells = []
-    cell_index = 0
-    for n_units in units:
-        for n_shots in shots:
-            w_vals = np.empty(trials)
-            p_vals = np.empty(trials)
-            for trial in range(trials):
-                data = simulate_experiment(
-                    state,
-                    n_units,
-                    n_shots,
-                    seed=_cell_seed(seed, cell_index, trial),
-                )
-                report = estimate(data, method)
-                w_vals[trial] = report.stab_purity
-                p_vals[trial] = report.purity
-            ref = float(w_vals.mean()) if exact is None else exact
-            delta = float(np.mean(np.abs(w_vals - ref))) / ref
-            purity_dev = abs(float(p_vals.mean()) - 1.0)
-            cells.append(
-                GridCell(
-                    n_units=n_units,
-                    n_shots=n_shots,
-                    delta=delta,
-                    purity_dev=purity_dev,
-                    trials=trials,
-                )
-            )
-            cell_index += 1
+    for cell_index, (n_units, n_shots) in enumerate(itertools.product(units, shots)):
+        seeds = [_cell_seed(seed, cell_index, trial) for trial in range(trials)]
+        per_word = np.empty((2, trials * n_units))
+        for rows, _, counts in _simulate_blocks(state, seeds, n_units, n_shots):
+            per_word[:, rows] = word_estimates(counts, state.n, method)
+        w_vals, p_vals = per_word.reshape(2, trials, n_units).mean(axis=2)
+        ref = float(w_vals.mean()) if exact is None else exact
+        delta = float(np.mean(np.abs(w_vals - ref))) / ref
+        purity_dev = abs(float(p_vals.mean()) - 1.0)
+        cells.append(GridCell(n_units, n_shots, delta, purity_dev, trials))
     return cells
 
 

@@ -41,6 +41,8 @@ __all__ = [
 
 #: Cap on the amplitudes (units x 2**n) of one simulated block: memory stays flat in n.
 _BLOCK_AMPLITUDES = 2**15
+#: Cap on the units of one simulated block: a unit's generator objects take ~0.8 kB.
+_BLOCK_UNITS = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,43 +260,58 @@ def _successive(const: int, mult: int, count: int) -> np.ndarray:
     return np.array(consts, dtype=np.uint32)
 
 
-def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
-    """The (stop - start, 4) uint64 words of
-    ``SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(4, np.uint64)``
-    for k in [start, stop), with numpy's hash run over all keys at once.
+def _seed_int(seed) -> int:
+    """``seed`` as a Python int, refused as numpy's ``SeedSequence`` refuses it."""
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, not {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, not {seed}")
+    return int(seed)
+
+
+def _seed_words(seeds, start: int, stop: int, n_units: int = 2**32) -> np.ndarray:
+    """The (stop - start, 4) uint64 words of ``SeedSequence(entropy=seeds[r //
+    n_units], spawn_key=(r % n_units,)).generate_state(4, np.uint64)`` for the
+    rows r in [start, stop) of the seed-major (seed, unit) grid; one int seed
+    stands for ``(seed,)``, so its row r is unit key r.
 
     The entropy is the seed's little-endian uint32 words ([0] for 0),
     zero-padded to the pool size because a spawn key is present, then the
     key word.  Everything before the key word depends on the seed alone and
-    runs once on Python ints.  The key's mix-in into the 4 pool words and
-    the 8 output words are then one (B, 4) and one (B, 8) uint32 step.
+    runs once per distinct seed on Python ints.  The key's mix-in into the 4
+    pool words and the 8 output words are then one (B, 4) and one (B, 8)
+    uint32 step over every row.
     """
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, not {seed!r}")
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, not {seed}")
-    if stop > 2**32:
+    seeds = seeds if isinstance(seeds, (list, tuple)) else (seeds,)
+    if n_units > 2**32 or stop > len(seeds) * n_units:
         raise ValueError("unit index beyond 2**32 - 1: a spawn key is one uint32 word")
-    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL_SIZE - len(words))
-    const = _INIT_A
-    pool = []
-    for word in words[:_POOL_SIZE]:
-        hashed, const = _hashmix(word, const)
-        pool.append(hashed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], hashed)
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
+    first = start // n_units
+    pools, consts = [], []
+    for seed in seeds[first : -(-stop // n_units)]:
+        seed = _seed_int(seed)
+        words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        words += [0] * (_POOL_SIZE - len(words))
+        const = _INIT_A
+        pool = []
+        for word in words[:_POOL_SIZE]:
             hashed, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], hashed)
-    keys = np.arange(start, stop, dtype=np.uint32)[:, None]
-    hashed, _ = _hashmix(keys, _successive(const, _MULT_A, _POOL_SIZE))
-    pool = _mix(np.array(pool, dtype=np.uint32), hashed)
+            pool.append(hashed)
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    hashed, const = _hashmix(pool[src], const)
+                    pool[dst] = _mix(pool[dst], hashed)
+        for word in words[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                hashed, const = _hashmix(word, const)
+                pool[dst] = _mix(pool[dst], hashed)
+        pools.append(pool)
+        consts.append(_successive(const, _MULT_A, _POOL_SIZE))
+    rows = np.arange(start, stop, dtype=np.int64)
+    which = rows // n_units - first
+    keys = (rows % n_units).astype(np.uint32)[:, None]
+    hashed, _ = _hashmix(keys, np.array(consts)[which])
+    pool = _mix(np.array(pools, dtype=np.uint32)[which], hashed)
     out, _ = _hashmix(
         np.tile(pool, 2), _successive(_INIT_B, _MULT_B, 2 * _POOL_SIZE), _MULT_B
     )
@@ -339,6 +356,30 @@ def _clifford_draws(
     return drawn, rngs
 
 
+def _simulate_blocks(
+    state: StateVector, seeds, n_units: int, n_shots: int, noise=NoiseParams()
+):
+    """Yield (rows, ids, counts) for the seed-major (seed, unit) rows, row r
+    being unit r % n_units of ``seeds[r // n_units]``, in blocks (slices
+    ``rows``) of at most _BLOCK_UNITS and _BLOCK_AMPLITUDES / 2**n rows that
+    may span seeds.  A block is one ``_clifford_draws`` call (the recorded
+    word, then the hidden inner word when the displacement is nonzero), one
+    ``word_outcome_probs`` and one ``sample_counts`` call, each unit drawing
+    from its own generator.
+    """
+    n = state.n
+    block = max(1, min(_BLOCK_UNITS, _BLOCK_AMPLITUDES >> n))
+    draws = 2 * n if noise.epsilon != 0.0 else n
+    total = len(seeds) * n_units
+    for start in range(0, total, block):
+        stop = min(start + block, total)
+        drawn, rngs = _clifford_draws(_seed_words(seeds, start, stop, n_units), draws)
+        inner = drawn[:, n:] if noise.epsilon != 0.0 else None
+        probs = word_outcome_probs(state, drawn[:, :n], inner_ids=inner, noise=noise)
+        yield slice(start, stop), drawn[:, :n], sample_counts(probs, n_shots, rngs)
+        del rngs  # freed before the next block's generators are made
+
+
 def simulate_experiment(
     state: StateVector,
     n_units: int,
@@ -353,34 +394,24 @@ def simulate_experiment(
     Each measurement unit k draws from its own deterministic substream, the
     generator ``default_rng(SeedSequence(seed, spawn_key=(k,)))`` would give;
     the seed words of a whole block come from one vectorised run of numpy's
-    hash (``_seed_words``).  Units run in blocks of at most
-    ``_BLOCK_AMPLITUDES / 2**n``, each block in three passes: (1) every unit
-    draws its recorded Clifford word, then -- only when the displacement is
-    nonzero -- its hidden inner word, read from raw PCG64 outputs by
-    ``_clifford_draws``; (2) one ``word_outcome_probs`` call gives every
-    unit's outcome distribution; (3) one ``sample_counts`` call checks the
-    block and draws every unit's multinomial shot counts from its own
-    generator, in order.  Each substream thus sees the draws of a unit
-    simulated alone, and the noiseless configuration is bit-identical to
-    NoiseParams(1, 1, 0).
+    hash (``_seed_words``).  This is the one-seed call of the block simulator
+    ``_simulate_blocks``, which ``calibration.grid_search`` runs over many
+    seeds at once.  Each substream sees the draws of a unit simulated alone,
+    so the data do not depend on the blocking, and the noiseless
+    configuration is bit-identical to NoiseParams(1, 1, 0).
     """
     if n_units < 1 or n_shots < 1:
         raise ValueError("need at least one unit and one shot")
-    n = state.n
-    block = max(1, _BLOCK_AMPLITUDES >> n)
-    ids = np.empty((n_units, n), dtype=np.int64)
-    counts = np.empty((n_units, 2**n), dtype=np.int64)
-    draws = 2 * n if noise.epsilon != 0.0 else n
-    for start in range(0, n_units, block):
-        stop = min(start + block, n_units)
-        drawn, rngs = _clifford_draws(_seed_words(seed, start, stop), draws)
-        ids[start:stop] = drawn[:, :n]
-        inner = drawn[:, n:] if noise.epsilon != 0.0 else None
-        probs = word_outcome_probs(state, ids[start:stop], inner_ids=inner, noise=noise)
-        counts[start:stop] = sample_counts(probs, n_shots, rngs)
+    ids = np.empty((n_units, state.n), dtype=np.int64)
+    counts = np.empty((n_units, 2**state.n), dtype=np.int64)
+    for rows, *block in _simulate_blocks(state, (seed,), n_units, n_shots, noise):
+        ids[rows], counts[rows] = block
+        del block  # a block's counts go before the next block is simulated
     return ExperimentData(
-        n=n, state_label=state_label, clifford_ids=ids, counts=counts, seed=seed
+        n=state.n, state_label=state_label, clifford_ids=ids, counts=counts, seed=seed
     )
+
+
 def variance_bound(
     n: int, n_shots: int, value: float, quantity: str = "stab_purity"
 ) -> float:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from stabrenyi import calibration
+from stabrenyi import calibration, estimator
 from stabrenyi.calibration import (
     CalibrationError,
     FitResult,
@@ -19,6 +20,7 @@ from stabrenyi.calibration import (
     linear_grid,
     select_optimal,
 )
+from stabrenyi.estimator import estimate, simulate_experiment
 from stabrenyi.oracle import stab_purity_exact
 from stabrenyi.states import gamma_state, ptheta_state
 
@@ -146,6 +148,84 @@ class TestGridSearch:
             grid_search(state, trials=4, seed=0, reference="median")
         with pytest.raises(ValueError):
             grid_search(state, trials=4, seed=0, method="jackknife", unit_grid=(8,), shot_grid=(32,))
+
+
+def per_trial_grid_search(state, units, shots, *, trials, seed, method, reference):
+    """Reference: one ``simulate_experiment`` + ``estimate`` per trial, each
+    trial seeded by ``SeedSequence(seed, spawn_key=(cell, trial))``."""
+    exact = stab_purity_exact(state) if reference == "oracle" else None
+    cells = []
+    for cell, (n_units, n_shots) in enumerate(itertools.product(units, shots)):
+        w_vals, p_vals = np.empty(trials), np.empty(trials)
+        for trial in range(trials):
+            stream = np.random.SeedSequence(entropy=seed, spawn_key=(cell, trial))
+            trial_seed = int(stream.generate_state(1, np.uint64)[0])
+            data = simulate_experiment(state, n_units, n_shots, seed=trial_seed)
+            report = estimate(data, method)
+            w_vals[trial], p_vals[trial] = report.stab_purity, report.purity
+        ref = float(w_vals.mean()) if exact is None else exact
+        delta = float(np.mean(np.abs(w_vals - ref))) / ref
+        purity_dev = abs(float(p_vals.mean()) - 1.0)
+        cells.append(GridCell(n_units, n_shots, delta, purity_dev, trials))
+    return cells
+
+
+class TestGridSearchEqualsPerTrialLoop:
+    """``grid_search`` runs a cell's trials as one block of units; its cells
+    must equal, bit for bit, those of one experiment per trial."""
+
+    @pytest.mark.parametrize("reference", ["ensemble", "oracle"])
+    @pytest.mark.parametrize("method", ["ustat", "plugin"])
+    def test_small_cells(self, method, reference):
+        # 200 units x 3 trials = 600 rows: the second block starts inside trial 2
+        assert 200 * 2 < estimator._BLOCK_UNITS < 200 * 3
+        args = (gamma_state(3, 4), (8, 200), (16, 41))
+        kwargs = dict(trials=3, seed=11, method=method, reference=reference)
+        assert grid_search(*args, **kwargs) == per_trial_grid_search(*args, **kwargs)
+
+    @pytest.mark.parametrize("method", ["ustat", "plugin"])
+    def test_block_boundary_inside_a_trial_at_eight_qubits(self, method):
+        # 128 rows a block at n = 8: trial 2 holds rows 96..143
+        assert min(estimator._BLOCK_UNITS, estimator._BLOCK_AMPLITUDES >> 8) == 128
+        args = (gamma_state(8, 6), (48,), (16,))
+        kwargs = dict(trials=5, seed=2**70 + 9, method=method, reference="oracle")
+        assert grid_search(*args, **kwargs) == per_trial_grid_search(*args, **kwargs)
+
+    def test_huge_master_seed(self):
+        args = (ptheta_state(0.4), (5, 9), (4, 7))
+        kwargs = dict(trials=3, seed=2**130 + 5, method="ustat", reference="ensemble")
+        assert grid_search(*args, **kwargs) == per_trial_grid_search(*args, **kwargs)
+
+
+class TestGridSearchChecksFirst:
+    """Every argument is checked before any cell is simulated."""
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(unit_grid=(8, 0)), "1 unit"),
+            (dict(shot_grid=(32, 3)), "4 shots"),
+            (dict(shot_grid=(32, 0), method="plugin"), "1 shots"),
+            (dict(method="jackknife"), "unknown method"),
+            (dict(seed=-1), "seed must be non-negative"),
+            (dict(seed=-(2**70)), "seed must be non-negative"),
+            (dict(trials=1), "2 trials"),
+            (dict(reference="median"), "unknown reference"),
+        ],
+    )
+    def test_bad_argument_fails_before_simulating(self, monkeypatch, kwargs, match):
+        simulated = []
+        monkeypatch.setattr(
+            calibration, "_simulate_blocks", lambda *a, **k: simulated.append(a)
+        )
+        args = dict(unit_grid=(8, 16), shot_grid=(32, 64), trials=3, seed=4)
+        with pytest.raises(ValueError, match=match):
+            grid_search(ptheta_state(0.3), **{**args, **kwargs})
+        assert simulated == []
+
+    def test_non_integer_seed_is_a_type_error(self):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            grid_search(ptheta_state(0.3), (8,), (32,), trials=2, seed=1.5)
 
 
 class TestSelectOptimal:

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from stabrenyi import calibration
 from stabrenyi.cli import (
     EXIT_DATA,
     EXIT_DOMAIN,
@@ -461,6 +462,25 @@ class TestExitCodes:
             "predict", "--state", "gamma", "--n", "3", "--t", "99", "--p", "0.9",
         )
         assert code == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("seed", ["-1", "-18446744073709551616"])
+    def test_negative_calibrate_seed_is_5_and_named(self, capsys, seed):
+        code = main([
+            "calibrate", "--state", "zero", "--n", "1", "--trials", "2", "--seed", seed,
+        ])
+        assert code == EXIT_DOMAIN
+        assert f"error: seed must be non-negative, not {seed}" in capsys.readouterr().err
+
+    def test_short_shot_grid_is_5_before_any_cell_runs(self, capsys, tmp_path, monkeypatch):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"unit_grid": [8, 16], "shot_grid": [32, 3]}))
+        monkeypatch.setattr(calibration, "_simulate_blocks", None)  # never reached
+        code = main([
+            "calibrate", "--state", "zero", "--n", "1", "--trials", "2", "--seed", "0",
+            "--grid", str(grid),
+        ])
+        assert code == EXIT_DOMAIN
+        assert "4 shots" in capsys.readouterr().err
 
     def test_bad_noise_spec_is_5(self, capsys):
         code, _ = _run(

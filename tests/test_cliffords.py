@@ -62,6 +62,34 @@ class TestTable:
                 assert _phase_key(u @ p @ u.conj().T) in pauli_keys
 
 
+class TestZImageClasses:
+    """c^dagger Z c is +-X, +-Y or +-Z; the protocol's W_C and P_C see only
+    <Z_A>^2 and <Z_A>^4, so a word matters only through these classes."""
+
+    def test_each_signed_pauli_is_the_image_of_four_cliffords(self):
+        z = np.diag([1.0, -1.0]).astype(complex)
+        paulis = {
+            "X": np.array([[0, 1], [1, 0]], dtype=complex),
+            "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+            "Z": z,
+        }
+        images = []
+        for c in CLIFFORD_1Q:
+            image = c.conj().T @ z @ c
+            hits = [
+                sign + name
+                for name, pauli in paulis.items()
+                for sign, factor in (("+", 1.0), ("-", -1.0))
+                if np.max(np.abs(image - factor * pauli)) < 1e-12
+            ]
+            assert len(hits) == 1
+            images.append(hits[0])
+        counts = {key: images.count(key) for key in sorted(set(images))}
+        assert counts == {f"{s}{p}": 4 for s in "+-" for p in "XYZ"}
+        for name in paulis:
+            assert images.count("+" + name) + images.count("-" + name) == 8
+
+
 class TestElementAccess:
     def test_returns_copy(self):
         u = clifford_element(5)

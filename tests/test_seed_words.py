@@ -6,6 +6,8 @@ simulator computes the seed words of a whole block of units with one
 vectorised run of numpy's hash and seeds each unit's PCG64 from them, so the
 words and the generator states are compared here with numpy's own, over many
 keys and over entropies that cross every uint32-word boundary of the pool.
+A block of ``grid_search`` may hold the units of many seeds; those words are
+compared row by row as well.
 Each unit's Clifford ids are read from its raw PCG64 outputs; they are
 compared here with numpy's own ``integers``, so a numpy whose bounded-integer
 algorithm differs fails here rather than letting the records drift.
@@ -56,6 +58,35 @@ def test_bulk_words_equal_seed_sequence(seed):
 def test_key_count_covers_ten_thousand():
     per_entropy = sum(stop - start for start, stop in KEY_RANGES)
     assert len(ENTROPIES) * per_entropy >= 10**4
+
+
+@settings(max_examples=200)
+@given(
+    seeds=st.lists(st.integers(0, 2**140 - 1), min_size=1, max_size=4),
+    n_units=st.integers(1, 2**32),
+    data=st.data(),
+)
+def test_many_seed_words_equal_seed_sequence(seeds, n_units, data):
+    """Rows [start, stop) of the seed-major (seed, unit) grid: row r is key
+    r % n_units under seeds[r // n_units], for any seeds (repeats included)."""
+    total = len(seeds) * n_units
+    start = data.draw(st.integers(0, total - 1), label="start")
+    stop = data.draw(st.integers(start + 1, min(start + 9, total)), label="stop")
+    got = _seed_words(seeds, start, stop, n_units)
+    want = [
+        np.random.SeedSequence(seeds[r // n_units], spawn_key=(r % n_units,))
+        .generate_state(4, np.uint64)
+        for r in range(start, stop)
+    ]
+    assert got.dtype == np.uint64 and np.array_equal(got, np.array(want))
+
+
+def test_a_block_across_seeds_is_the_one_seed_blocks_joined():
+    seeds = [2022, 0, 2**130 + 3, 2022]
+    joined = np.concatenate([_seed_words(s, 0, 50) for s in seeds])
+    assert np.array_equal(_seed_words(seeds, 30, 170, 50), joined[30:170])
+    with pytest.raises(ValueError, match="spawn key"):
+        _seed_words(seeds, 150, 201, 50)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**64 + 7, 2**130 + 3])
