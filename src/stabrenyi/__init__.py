@@ -13,7 +13,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .cliffords import CLIFFORD_1Q, N_CLIFFORD, clifford_element
+from .cliffords import CLIFFORD_1Q, N_CLIFFORD
 from .states import (
     Circuit,
     CliffordWord,
@@ -52,6 +52,7 @@ from .noise import (
     prep_channel,
     prep_purity,
     readout_channel,
+    readout_dressed_purity,
     solve_epsilon,
     solve_p,
     solve_p_readout_aware,
@@ -89,7 +90,6 @@ __all__ = [
     "__version__",
     "CLIFFORD_1Q",
     "N_CLIFFORD",
-    "clifford_element",
     "Circuit",
     "CliffordWord",
     "MixedState",
@@ -123,6 +123,7 @@ __all__ = [
     "prep_channel",
     "prep_purity",
     "readout_channel",
+    "readout_dressed_purity",
     "solve_epsilon",
     "solve_p",
     "solve_p_readout_aware",

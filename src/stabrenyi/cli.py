@@ -68,11 +68,21 @@ exit codes:
 """
 
 
+#: Family -> (constructor, its flags in label order as (name, type)). The
+#: --state choices, build_state's labels and state_from_label all read it.
+_FAMILIES = {
+    "gamma": (gamma_state, (("n", int), ("t", int))),
+    "ptheta": (ptheta_state, (("theta", float),)),
+    "zero": (zero_state, (("n", int),)),
+    "plus": (plus_state, (("n", int),)),
+}
+
+
 def _add_state_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--state",
         required=True,
-        choices=("gamma", "ptheta", "zero", "plus"),
+        choices=tuple(_FAMILIES),
         help="target state family",
     )
     parser.add_argument("--n", type=int, help="number of qubits")
@@ -81,39 +91,34 @@ def _add_state_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_state(args: argparse.Namespace) -> tuple[StateVector, str]:
-    if args.state == "gamma":
-        if args.n is None or args.t is None:
-            raise ValueError("--state gamma needs --n and --t")
-        return gamma_state(args.n, args.t), f"gamma-{args.n}-{args.t}"
-    if args.state == "ptheta":
-        if args.theta is None:
-            raise ValueError("--state ptheta needs --theta")
-        return ptheta_state(args.theta), f"ptheta-{args.theta:.12g}"
-    if args.n is None:
-        raise ValueError(f"--state {args.state} needs --n")
-    if args.state == "zero":
-        return zero_state(args.n), f"zero-{args.n}"
-    return plus_state(args.n), f"plus-{args.n}"
+    """The state the flags name, at full precision, and its label (12 digits)."""
+    make, flags = _FAMILIES[args.state]
+    values = [getattr(args, name) for name, _ in flags]
+    if None in values:
+        raise ValueError(f"--state {args.state} needs "
+                         + " and ".join(f"--{name}" for name, _ in flags))
+    fields = [f"{v:.12g}" if kind is float else str(v)
+              for (_, kind), v in zip(flags, values)]
+    return make(*values), "-".join([args.state, *fields])
 
 
 def state_from_label(label: str) -> StateVector:
     """Rebuild a state from a record-file state_label."""
-    parts = label.split("-")
-    try:
-        if parts[0] == "gamma" and len(parts) == 3:
-            return gamma_state(int(parts[1]), int(parts[2]))
-        if parts[0] == "zero" and len(parts) == 2:
-            return zero_state(int(parts[1]))
-        if parts[0] == "plus" and len(parts) == 2:
-            return plus_state(int(parts[1]))
-        if parts[0] == "ptheta" and len(parts) >= 2:
-            return ptheta_state(float(label.removeprefix("ptheta-")))
-    except ValueError as exc:
-        raise RecordFormatError(f"malformed state_label {label!r}: {exc}") from exc
-    raise RecordFormatError(
-        f"state_label {label!r} does not name a reconstructible state "
-        "(expected gamma-N-T, zero-N, plus-N, or ptheta-THETA)"
-    )
+    family, dash, rest = label.partition("-")
+    if family in _FAMILIES and dash:
+        make, flags = _FAMILIES[family]
+        # The last field takes the rest, so a ptheta angle may hold a "-".
+        fields = rest.split("-", len(flags) - 1)
+        if len(fields) == len(flags):
+            try:
+                return make(*(kind(f) for (_, kind), f in zip(flags, fields)))
+            except ValueError as exc:
+                raise RecordFormatError(
+                    f"malformed state_label {label!r}: {exc}") from exc
+    expected = ", ".join("-".join([name, *(f.upper() for f, _ in flags)])
+                         for name, (_, flags) in _FAMILIES.items())
+    raise RecordFormatError(f"state_label {label!r} does not name a "
+                            f"reconstructible state (expected {expected})")
 
 
 def _parse_noise(spec: str | None) -> NoiseParams:
@@ -392,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RecordFormatError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (RecordFormatError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (InfeasibleNoiseError, CalibrationError) as exc:

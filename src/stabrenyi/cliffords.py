@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["CLIFFORD_1Q", "N_CLIFFORD", "clifford_element"]
+__all__ = ["CLIFFORD_1Q", "N_CLIFFORD"]
 
 _ROUND_DECIMALS = 9
 
@@ -72,10 +72,3 @@ CLIFFORD_1Q.setflags(write=False)
 
 #: Number of single-qubit Clifford elements.
 N_CLIFFORD: int = 24
-
-
-def clifford_element(clifford_id: int) -> np.ndarray:
-    """Return a copy of the 2x2 unitary for a Clifford id in [0, 24)."""
-    if not 0 <= clifford_id < N_CLIFFORD:
-        raise ValueError(f"clifford id {clifford_id} outside [0, {N_CLIFFORD})")
-    return CLIFFORD_1Q[clifford_id].copy()

@@ -46,7 +46,6 @@ __all__ = [
     "SmallOperator",
     "phase_gate",
     "q1_projector",
-    "t1_projector",
     "q1_epsilon",
     "q1_epsilon_brute",
     "prep_channel",
@@ -178,24 +177,6 @@ def q1_projector() -> SmallOperator:
     """Q1 = (1/4)(I^{x4} + X^{x4} + Y^{x4} + Z^{x4}) on four copies."""
     mat = sum(_kron_power(sigma, 4) for sigma in _PAULIS_1Q) / 4.0
     return SmallOperator(k=4, matrix=mat)
-
-
-def t1_projector() -> SmallOperator:
-    """T1 = (1/2)(I^{x2} + X^{x2} + Y^{x2} + Z^{x2}) on two copies (= swap)."""
-    mat = sum(_kron_power(sigma, 2) for sigma in _PAULIS_1Q) / 2.0
-    return SmallOperator(k=2, matrix=mat)
-
-
-def o4_hat() -> SmallOperator:
-    """Diagonal single-qubit weight operator (1/4) I^{x4} + (3/4) Z^{x4}."""
-    mat = 0.25 * np.eye(16) + 0.75 * _kron_power(_PAULIS_1Q[3], 4)
-    return SmallOperator(k=4, matrix=mat)
-
-
-def o2_hat() -> SmallOperator:
-    """Diagonal single-qubit weight operator (1/2) I^{x2} + (3/2) Z^{x2}."""
-    mat = 0.5 * np.eye(4) + 1.5 * _kron_power(_PAULIS_1Q[3], 2)
-    return SmallOperator(k=2, matrix=mat)
 
 
 def phase_gate(epsilon: float) -> np.ndarray:

@@ -36,7 +36,6 @@ __all__ = [
     "gamma_state",
     "apply_circuit",
     "apply_local_cliffords",
-    "apply_local_unitaries",
     "pauli_z_on",
     "as_mixture",
     "outcome_distribution",
@@ -223,14 +222,7 @@ def apply_local_cliffords(state: StateVector, word: CliffordWord) -> StateVector
     """Apply one single-qubit Clifford per qubit (a local basis rotation)."""
     if word.n != state.n:
         raise ValueError("word length must equal qubit count")
-    return apply_local_unitaries(state, CLIFFORD_1Q[list(word.ids)])
-
-
-def apply_local_unitaries(state: StateVector, mats) -> StateVector:
-    """Apply an arbitrary 2x2 unitary to each qubit (one matrix per qubit)."""
-    mats = np.asarray(mats, dtype=complex)
-    if mats.shape != (state.n, 2, 2):
-        raise ValueError("need exactly one 2x2 matrix per qubit")
+    mats = CLIFFORD_1Q[list(word.ids)]
     return StateVector(n=state.n, amplitudes=_apply_local(state.amplitudes, mats))
 
 
@@ -277,8 +269,8 @@ def gamma_tcounts(n: int, t: int) -> tuple[int, int]:
     The first layer fills up before the second: t=1 -> (0, 1); for
     2 <= t <= n+1 -> (t-1, 1); for t > n+1 -> (n, t-n).
     """
-    if n < 2:
-        raise ValueError("gamma family needs n >= 2")
+    if not 2 <= n <= MAX_QUBITS:
+        raise ValueError(f"gamma family needs n in [2, {MAX_QUBITS}]")
     if not 1 <= t <= 2 * n - 1:
         raise ValueError(f"t={t} outside [1, {2 * n - 1}] for n={n}")
     if t == 1:

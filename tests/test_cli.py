@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stabrenyi import calibration
 from stabrenyi.cli import (
@@ -90,6 +92,67 @@ class TestStateBuilding:
     def test_state_from_label_rejects_malformed(self, label):
         with pytest.raises(RecordFormatError):
             state_from_label(label)
+
+
+_FLAG_ARGV = st.one_of(
+    st.integers(2, 12).flatmap(lambda n: st.integers(1, 2 * n - 1).map(
+        lambda t: ["--state", "gamma", "--n", str(n), "--t", str(t)])),
+    st.tuples(st.sampled_from(["zero", "plus"]), st.integers(1, 12)).map(
+        lambda fn: ["--state", fn[0], "--n", str(fn[1])]),
+    st.one_of(st.floats(-10, 10), st.floats(allow_nan=False, allow_infinity=False)).map(
+        lambda theta: ["--state", "ptheta", f"--theta={theta!r}"]),
+)
+
+_LABEL_FIELD = st.one_of(
+    st.integers(-3, 10**12).map(str),
+    st.floats().map(repr),
+    st.text("0123456789-+.e_ xnaif", max_size=8),
+)
+_LABELS = st.one_of(
+    st.text(max_size=20),
+    st.builds(
+        lambda family, fields: "-".join([family, *fields]),
+        st.one_of(st.sampled_from(["gamma", "ptheta", "zero", "plus"]), st.text(max_size=6)),
+        st.lists(_LABEL_FIELD, max_size=3),
+    ),
+)
+
+
+class TestStateGrammar:
+    """build_state and state_from_label read one family table."""
+
+    @settings(max_examples=80)
+    @given(_FLAG_ARGV)
+    @example(["--state", "ptheta", f"--theta={math.pi / 4!r}"])
+    def test_label_rebuilds_the_flag_state(self, argv):
+        built, label = build_state(build_parser().parse_args(["oracle", *argv]))
+        rebuilt = state_from_label(label)
+        if argv[1] != "ptheta":
+            assert np.array_equal(rebuilt.amplitudes, built.amplitudes)
+            return
+        # The label holds 12 significant digits, which move theta by at most
+        # 5e-12 |theta| and so each amplitude by less than 4e-12 |theta|.
+        theta = float(argv[2].removeprefix("--theta="))
+        tol = 1e-12 + 4e-12 * abs(theta)
+        assert np.max(np.abs(rebuilt.amplitudes - built.amplitudes)) <= tol
+
+    @settings(max_examples=80)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_flags_keep_every_theta_bit(self, theta):
+        args = build_parser().parse_args(["oracle", "--state", "ptheta", f"--theta={theta!r}"])
+        built, _ = build_state(args)
+        assert np.array_equal(built.amplitudes, ptheta_state(theta).amplitudes)
+
+    @settings(max_examples=300)
+    @given(_LABELS)
+    @example("gamma-1000000000-3")  # refused before a gate list that long is built
+    @example("ptheta-1e-05")
+    def test_fuzzed_label_rebuilds_or_is_a_format_error(self, label):
+        try:
+            state = state_from_label(label)
+        except RecordFormatError:
+            return
+        assert np.isclose(np.linalg.norm(state.amplitudes), 1.0)
 
 
 class TestOracleCommand:
@@ -434,6 +497,23 @@ class TestExitCodes:
     def test_missing_file_is_3(self, capsys):
         code, _ = _run(capsys, "estimate", "--records", "/nonexistent/file.jsonl")
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--records", "{dir}"],
+            ["fit-noise", "--records-zero", "{dir}", "--records", "{dir}"],
+            ["calibrate", "--state", "zero", "--n", "1", "--seed", "0", "--grid", "{dir}"],
+            ["oracle", "--state", "zero", "--n", "1", "--out", "{dir}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_path_that_cannot_be_opened_is_3(self, capsys, tmp_path, argv):
+        # a directory once escaped as an IsADirectoryError traceback (exit 1)
+        code = main([arg.format(dir=tmp_path) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_DATA and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_malformed_records_is_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.jsonl"

@@ -20,8 +20,6 @@ from stabrenyi.noise import (
     corrected_w,
     g_factor,
     haar_channel_stats,
-    o2_hat,
-    o4_hat,
     phase_gate,
     predict_noisy_observables,
     prep_channel,
@@ -36,7 +34,6 @@ from stabrenyi.noise import (
     solve_p,
     solve_p_readout_aware,
     solve_q,
-    t1_projector,
     w_chi,
     w_eps_zero,
     w_epsilon,
@@ -120,17 +117,6 @@ class TestFourCopyOperators:
         q1 = q1_projector().matrix
         assert np.max(np.abs(q1 @ q1 - q1)) < 1e-12
         assert abs(np.trace(q1).real - 4.0) < 1e-12
-
-    def test_t1_is_swap(self):
-        t1 = t1_projector().matrix
-        swap = np.zeros((4, 4))
-        swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
-        assert np.max(np.abs(t1 - swap)) < 1e-12
-
-    def test_weight_operators_diagonal(self):
-        for op in (o4_hat(), o2_hat()):
-            m = op.matrix
-            assert np.max(np.abs(m - np.diag(np.diag(m)))) < 1e-12
 
     def test_class_sums_are_permutation_counts(self):
         # 6 swaps, 3 double swaps, 6 four-cycles; all entries nonnegative ints

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from stabrenyi.cliffords import clifford_element
+from stabrenyi.cliffords import CLIFFORD_1Q
 from stabrenyi.states import (
     Circuit,
     CliffordWord,
@@ -13,7 +13,6 @@ from stabrenyi.states import (
     StateVector,
     apply_circuit,
     apply_local_cliffords,
-    apply_local_unitaries,
     as_mixture,
     gamma_circuit,
     gamma_state,
@@ -117,7 +116,7 @@ class TestGammaFamily:
     def test_tcount_split(self, n, t, expected):
         assert gamma_tcounts(n, t) == expected
 
-    @pytest.mark.parametrize("n, t", [(3, 0), (3, 6), (1, 1), (5, 10)])
+    @pytest.mark.parametrize("n, t", [(3, 0), (3, 6), (1, 1), (5, 10), (13, 3)])
     def test_tcount_validation(self, n, t):
         with pytest.raises(ValueError):
             gamma_tcounts(n, t)
@@ -145,7 +144,7 @@ class TestApplication:
             gates=(("h", 0), ("p", 1, 0.3), ("cx", 0, 1), ("clifford", 1, 7)),
         )
         got = apply_circuit(circ, zero_state(2)).amplitudes
-        mat = _dense_1q(2, clifford_element(7), 1) @ _dense_cx(2, 0, 1)
+        mat = _dense_1q(2, CLIFFORD_1Q[7], 1) @ _dense_cx(2, 0, 1)
         mat = mat @ _dense_1q(2, np.diag([1, np.exp(0.3j)]), 1) @ _dense_1q(2, H, 0)
         want = mat @ np.array([1, 0, 0, 0], dtype=complex)
         assert np.max(np.abs(got - want)) < 1e-12
@@ -153,20 +152,8 @@ class TestApplication:
     def test_apply_local_cliffords_matches_kron(self):
         st = gamma_state(2, 2)
         got = apply_local_cliffords(st, CliffordWord(ids=(13, 21))).amplitudes
-        mat = np.kron(clifford_element(13), clifford_element(21))
+        mat = np.kron(CLIFFORD_1Q[13], CLIFFORD_1Q[21])
         assert np.max(np.abs(got - mat @ st.amplitudes)) < 1e-12
-
-    def test_apply_local_unitaries_matches_kron(self):
-        st = gamma_state(2, 3)
-        rng = np.random.default_rng(0)
-        mats = []
-        for _ in range(2):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            q, _ = np.linalg.qr(a)
-            mats.append(q)
-        got = apply_local_unitaries(st, mats).amplitudes
-        want = np.kron(mats[0], mats[1]) @ st.amplitudes
-        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_pauli_z_on_msb_first(self):
         st = StateVector(n=2, amplitudes=np.full(4, 0.5, dtype=complex))
