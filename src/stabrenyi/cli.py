@@ -186,16 +186,19 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _cmd_fit_noise(args: argparse.Namespace) -> int:
     zero_data = _read_records_arg(args.records_zero)
     target_data = _read_records_arg(args.records)
-    state = state_from_label(target_data.state_label)
+    zero_label, label = zero_data.state_label, target_data.state_label
+    if zero_label != f"zero-{zero_data.n}":
+        raise RecordFormatError(f"{args.records_zero}: state_label {zero_label!r} "
+                                f"is not 'zero-{zero_data.n}'")
+    state = state_from_label(label)
+    if state.n != target_data.n:
+        raise RecordFormatError(f"{args.records}: state_label {label!r} names "
+                                f"{state.n} qubits, its header n = {target_data.n}")
     zero_report = estimate(zero_data, args.method)
     target_report = estimate(target_data, args.method)
     fit = fit_noise(zero_report, target_report, state)
-    doc = report_from_estimate(
-        target_report, target_data.state_label, seed=target_data.seed
-    )
-    doc["zero_estimates"] = report_from_estimate(
-        zero_report, zero_data.state_label
-    )["estimates"]
+    doc = report_from_estimate(target_report, label, seed=target_data.seed)
+    doc["zero_estimates"] = report_from_estimate(zero_report, zero_label)["estimates"]
     doc["zero_seed"] = zero_data.seed
     doc["noise_fit"] = noise_fit_section(fit)
     _emit(doc, args.out)

@@ -9,7 +9,7 @@ log2(P / (W d)) gives the stabilizer 2-Renyi entropy.
 
 An experiment is held as a (U, n) Clifford-id array and a (U, 2**n) count
 array, one row per word; estimation runs one fast Walsh-Hadamard transform
-over all the counts at once.  The U-statistic path turns the transformed
+per block of rows of the counts.  The U-statistic path turns the transformed
 counts (subset sign sums) into the elementary symmetric polynomials e2/e4
 of the +-1 shot signs through Newton's identities, which is algebraically
 identical to (and vastly cheaper than) summing over all distinct shot
@@ -39,7 +39,7 @@ __all__ = [
     "bernstein_tail",
 ]
 
-#: Cap on the amplitudes (units x 2**n) of one simulated block: memory stays flat in n.
+#: Cap on the amplitudes (units x 2**n) of one simulated or estimated block.
 _BLOCK_AMPLITUDES = 2**15
 #: Cap on the units of one simulated block: a unit's generator objects take ~0.8 kB.
 _BLOCK_UNITS = 512
@@ -115,6 +115,21 @@ class EstimateReport:
     per_word_purity: tuple[float, ...]
 
 
+def _shots_per_word(counts: np.ndarray, method: str) -> np.ndarray:
+    """A (U, 2**n) count array's (U, 1) shots; a row short for ``method`` fails."""
+    if method not in ("ustat", "plugin"):
+        raise ValueError(f"unknown method {method!r}; use 'ustat' or 'plugin'")
+    nn = counts.sum(axis=-1, keepdims=True)
+    need = 4 if method == "ustat" else 1
+    short = np.flatnonzero(nn < need)
+    if short.size:
+        raise ValueError(
+            f"unit {short[0]} has {nn[short[0], 0]} shots; {method} estimates "
+            f"need at least {need} shots per word"
+        )
+    return nn
+
+
 def word_estimates(
     counts: np.ndarray, n: int, method: str = "ustat"
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -128,17 +143,8 @@ def word_estimates(
     e4 = (S^4 - 6 S^2 N + 8 S^2 + 3 N^2 - 6 N)/24, and e4/C(N,4), e2/C(N,2)
     are the unbiased moment estimators over distinct shot quadruples/pairs.
     """
-    if method not in ("ustat", "plugin"):
-        raise ValueError(f"unknown method {method!r}; use 'ustat' or 'plugin'")
     counts = np.asarray(counts)
-    nn = counts.sum(axis=-1, keepdims=True)
-    need = 4 if method == "ustat" else 1
-    short = np.flatnonzero(nn < need)
-    if short.size:
-        raise ValueError(
-            f"unit {short[0]} has {nn[short[0], 0]} shots; {method} estimates "
-            f"need at least {need} shots per word"
-        )
+    nn = _shots_per_word(counts, method)
     if method == "plugin":
         return word_statistics(counts / nn, n)
     s2 = walsh_z_expectations(counts, n) ** 2
@@ -148,11 +154,14 @@ def word_estimates(
 
 
 def estimate(data: ExperimentData, method: str = "ustat") -> EstimateReport:
-    """Combine per-word estimates, taken as one (U, 2**n) batch by
-    ``word_estimates``, into point estimates with standard errors."""
+    """Combine per-word estimates, from ``word_estimates`` on row blocks of at
+    most _BLOCK_AMPLITUDES counts, into point estimates with standard errors."""
     if not len(data.counts):
         raise ValueError("no records to estimate from")
-    w_arr, p_arr = word_estimates(data.counts, data.n, method)
+    shots = _shots_per_word(data.counts, method)
+    block = max(1, _BLOCK_AMPLITUDES >> data.n)  # rows reduce alone: no bit moves
+    w_arr, p_arr = np.hstack([word_estimates(data.counts[k : k + block], data.n, method)
+                              for k in range(0, len(shots), block)])
     n_units = len(w_arr)
     w_est = float(w_arr.mean())
     p_est = float(p_arr.mean())
@@ -170,7 +179,7 @@ def estimate(data: ExperimentData, method: str = "ustat") -> EstimateReport:
         method=method,
         n=data.n,
         n_units=n_units,
-        shots=tuple(data.counts.sum(axis=1).tolist()),
+        shots=tuple(shots.ravel().tolist()),
         stab_purity=w_est,
         stab_purity_err=w_err,
         purity=p_est,

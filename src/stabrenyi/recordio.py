@@ -23,6 +23,7 @@ import re
 from collections import Counter
 from collections.abc import Iterator
 from contextlib import nullcontext
+from functools import cache
 from pathlib import Path
 from typing import IO, Any
 
@@ -50,7 +51,7 @@ BIT_ORDER = "msb-first"
 RECORD_FORMAT = "rm-records"
 REPORT_FORMAT = "rm-report"
 FORMAT_VERSION = 1
-
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 #: Undecodable bytes, as the "surrogateescape" error handler maps them.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
@@ -78,7 +79,7 @@ def _utf8_lines(handle: IO[str]) -> Iterator[str]:
     lineno = 0
     try:
         for lineno, line in enumerate(handle, 1):
-            if _ESCAPED_BYTE.search(line):
+            if not line.isascii() and _ESCAPED_BYTE.search(line):
                 raise RecordFormatError(f"line {lineno}: bytes that are not UTF-8")
             yield line
     except UnicodeDecodeError as exc:
@@ -87,9 +88,17 @@ def _utf8_lines(handle: IO[str]) -> Iterator[str]:
         ) from None
 
 
+@cache
+def _outcome_keys(n: int) -> tuple[dict[str, int], list[str]]:
+    """{msb-first bitstring: outcome}, and each outcome's key '"bits": ' in a line."""
+    labels = [f"{b:0{n}b}" for b in range(2**n)]
+    return dict(zip(labels, range(2**n))), [f'"{bits}": ' for bits in labels]
+
+
 def write_records(data: ExperimentData, path_or_file: str | Path | IO[str]) -> None:
     """Serialize an experiment to a JSON Lines record file, one line per
-    unit with its nonzero counts keyed by msb-first bitstrings."""
+    unit with its nonzero counts keyed by msb-first bitstrings, formatted as
+    ``json.dumps(sort_keys=True)`` writes it (fixed-width keys sort as ints)."""
     with _open_maybe(path_or_file, "w") as handle:
         header = {
             "format": RECORD_FORMAT,
@@ -101,12 +110,12 @@ def write_records(data: ExperimentData, path_or_file: str | Path | IO[str]) -> N
         if data.seed is not None:
             header["seed"] = data.seed
         handle.write(json.dumps(header, sort_keys=True) + "\n")
-        width = f"0{data.n}b"
+        prefixes = _outcome_keys(data.n)[1]
         for ids, row in zip(data.clifford_ids.tolist(), data.counts):
             hit = np.flatnonzero(row)
-            keys = [format(b, width) for b in hit.tolist()]
-            line = {"clifford_ids": ids, "counts": dict(zip(keys, row[hit].tolist()))}
-            handle.write(json.dumps(line, sort_keys=True) + "\n")
+            pairs = zip(hit.tolist(), row[hit].tolist())
+            counts = ", ".join([prefixes[b] + str(c) for b, c in pairs])
+            handle.write(f'{{"clifford_ids": {ids}, "counts": {{{counts}}}}}\n')
 
 
 def _is_int(value: Any) -> bool:
@@ -135,8 +144,8 @@ def _parse_json_line(line: str, lineno: int) -> dict[str, Any]:
     return obj
 
 
-def _parse_unit(text: str, lineno: int, n: int) -> tuple[list[int], dict[str, int]]:
-    """(clifford_ids, counts) from one unit's line, checked against n."""
+def _parse_unit(text: str, lineno: int, n: int) -> tuple[list[int], ...]:
+    """(clifford_ids, outcomes, counts) from one unit's line, checked against n."""
     obj = _parse_json_line(text, lineno)
     if set(obj) != {"clifford_ids", "counts"}:
         raise RecordFormatError(
@@ -160,16 +169,33 @@ def _parse_unit(text: str, lineno: int, n: int) -> tuple[list[int], dict[str, in
             raise RecordFormatError(
                 f"line {lineno}: count for {bits!r} must be a positive integer"
             )
-    if sum(counts.values()) > np.iinfo(np.int64).max:
+    if sum(counts.values()) > _INT64_MAX:
         raise RecordFormatError(f"line {lineno}: more shots than an int64 count holds")
-    return ids, counts
+    return ids, [int(bits, 2) for bits in counts], list(counts.values())
+
+
+def _checked_unit(text: str, n: int, columns: dict[str, int]):
+    """``_parse_unit``'s result for a line that passes whole-line checks, else
+    None.  Parsed without the repeated-key hook: with all values ints or lists
+    of ints, each '"' delimits a key, so 4 + 2 * len(counts) mean no repeat."""
+    try:  # any of these errors marks a line that only _parse_unit can word
+        obj = json.loads(text)
+        ids, counts = obj["clifford_ids"], obj["counts"]
+        values = list(counts.values())
+        ok = (len(obj) == 2 and type(ids) is list and len(ids) == n
+              and {*map(type, ids), *map(type, values)} == {int}
+              and 0 <= min(ids) and max(ids) < N_CLIFFORD
+              and min(values, default=1) > 0 and sum(values) <= _INT64_MAX
+              and text.count('"') == 4 + 2 * len(values))
+        return (ids, [columns[bits] for bits in counts], values) if ok else None
+    except (ValueError, LookupError, TypeError, AttributeError):
+        return None
 
 
 def read_records(path_or_file: str | Path | IO[str]) -> ExperimentData:
     """Parse a JSON Lines record file line by line, reporting errors with
     line numbers; the id and count arrays are built once, at the end."""
-    ids: list[list[int]] = []
-    rows: list[dict[str, int]] = []
+    ids, sizes, outcomes, values = [], [], [], []
     with _open_maybe(path_or_file, "r") as handle:
         lines = ((no, raw.strip()) for no, raw in enumerate(_utf8_lines(handle), 1))
         lines = ((no, text) for no, text in lines if text)
@@ -202,15 +228,17 @@ def read_records(path_or_file: str | Path | IO[str]) -> ExperimentData:
         seed = header.get("seed")
         if seed is not None and not _is_int(seed):
             raise RecordFormatError(f"line {header_no}: seed must be an integer")
+        columns = _outcome_keys(n)[0]
         for lineno, text in lines:
-            word, row = _parse_unit(text, lineno, n)
-            ids.append(word)
-            rows.append(row)
+            unit = _checked_unit(text, n, columns) or _parse_unit(text, lineno, n)
+            ids.append(unit[0])
+            sizes.append(len(unit[1]))
+            outcomes += unit[1]
+            values += unit[2]
     if not ids:
         raise RecordFormatError("no records after the header")
     counts = np.zeros((len(ids), 2**n), dtype=np.int64)
-    for k, row in enumerate(rows):
-        counts[k, [int(bits, 2) for bits in row]] = list(row.values())
+    counts[np.repeat(np.arange(len(ids)), sizes), outcomes] = values
     return ExperimentData(
         n=n, state_label=label, clifford_ids=np.array(ids), counts=counts, seed=seed
     )

@@ -334,6 +334,50 @@ class TestFitNoiseCommand:
         assert code == EXIT_INFEASIBLE
 
 
+    @staticmethod
+    def _records(capsys, path, *state_args, header=None):
+        """Simulate a small noiseless record file, then overwrite header fields."""
+        _run(capsys, "simulate", *state_args, "--nu", "20", "--nm", "40",
+             "--seed", "3", "--out", str(path))
+        if header:
+            lines = path.read_text().splitlines()
+            lines[0] = json.dumps({**json.loads(lines[0]), **header})
+            path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "state_args, header, label",
+        [
+            (("--state", "plus", "--n", "3"), None, "plus-3"),
+            (("--state", "gamma", "--n", "3", "--t", "2"), None, "gamma-3-2"),
+            (("--state", "zero", "--n", "3"), {"state_label": "zero-4"}, "zero-4"),
+        ],
+    )
+    def test_zero_file_of_another_state_is_a_data_error(
+        self, capsys, tmp_path, state_args, header, label
+    ):
+        zero = self._records(capsys, tmp_path / "zero.jsonl", *state_args, header=header)
+        target = self._records(
+            capsys, tmp_path / "target.jsonl", "--state", "gamma", "--n", "3", "--t", "4"
+        )
+        code = main(["fit-noise", "--records-zero", zero, "--records", target])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err == f"error: {zero}: state_label {label!r} is not 'zero-3'\n"
+
+    def test_target_label_and_header_disagree_is_a_data_error(self, capsys, tmp_path):
+        zero = self._records(capsys, tmp_path / "zero.jsonl", "--state", "zero", "--n", "3")
+        target = self._records(
+            capsys, tmp_path / "target.jsonl", "--state", "gamma", "--n", "3", "--t", "4",
+            header={"state_label": "gamma-4-5"},
+        )
+        code = main(["fit-noise", "--records-zero", zero, "--records", target])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err == (f"error: {target}: state_label 'gamma-4-5' names 4 qubits, "
+                       "its header n = 3\n")
+
+
 class TestCalibrateCommand:
     def test_custom_grid_file(self, capsys, tmp_path):
         grid = tmp_path / "grid.json"

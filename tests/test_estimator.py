@@ -5,10 +5,12 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from stabrenyi import estimator
 from stabrenyi.estimator import (
     ExperimentData,
     bernstein_tail,
@@ -311,6 +313,59 @@ class TestEstimate:
         data = _data([0, 0, 5, 5], [[3, 2], [3, 2], short, short])
         with pytest.raises(ValueError, match=fragment):
             estimate(data, method=method)
+
+
+class TestBlockEstimation:
+    """``estimate`` runs ``word_estimates`` over row blocks of at most
+    ``_BLOCK_AMPLITUDES`` counts; the blocks change no bit and no message."""
+
+    @staticmethod
+    def _synthetic(n: int, n_units: int, n_shots: int, seed: int = 0) -> ExperimentData:
+        rng = np.random.default_rng(seed)
+        counts = rng.multinomial(n_shots, rng.dirichlet(np.ones(2**n)), size=n_units)
+        return ExperimentData(
+            n=n, state_label="x", clifford_ids=rng.integers(0, 24, (n_units, n)),
+            counts=counts,
+        )
+
+    @pytest.mark.parametrize("method", ["ustat", "plugin"])
+    @pytest.mark.parametrize("n, n_units", [(1, 7), (8, 300), (10, 70), (12, 19)])
+    def test_blocks_match_one_batch(self, n, n_units, method):
+        block = max(1, estimator._BLOCK_AMPLITUDES >> n)
+        assert n_units % block or n_units < block
+        data = self._synthetic(n, n_units, 40)
+        report = estimate(data, method)
+        w_all, p_all = word_estimates(data.counts, n, method)
+        assert report.per_word_stab_purity == tuple(w_all.tolist())
+        assert report.per_word_purity == tuple(p_all.tolist())
+        assert report.stab_purity == float(w_all.mean())
+        assert report.purity_err == float(p_all.std(ddof=1) / math.sqrt(n_units))
+
+    @pytest.mark.parametrize(
+        "method, shots, fragment",
+        [("ustat", 3, "unit 13 has 3 shots"), ("plugin", 0, "unit 13 has 0 shots")],
+    )
+    def test_short_unit_past_the_first_block_keeps_its_index(self, method, shots, fragment):
+        data = self._synthetic(12, 20, 40)
+        counts = data.counts.copy()
+        counts[13] = 0
+        counts[13, 5] = shots
+        assert 13 >= estimator._BLOCK_AMPLITUDES >> 12
+        short = ExperimentData(n=12, state_label="x", clifford_ids=data.clifford_ids,
+                               counts=counts)
+        with pytest.raises(ValueError, match=fragment):
+            estimate(short, method)
+
+    @pytest.mark.parametrize("method", ["ustat", "plugin"])
+    def test_peak_memory_below_the_count_array(self, method):
+        data = self._synthetic(10, 300, 200)
+        tracemalloc.start()
+        try:
+            estimate(data, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.counts.nbytes
 
 
 class TestWordOutcomeProbs:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from stabrenyi import recordio
 from stabrenyi.estimator import ExperimentData, estimate, simulate_experiment
 from stabrenyi.fitting import NoiseFit
 from stabrenyi.recordio import (
@@ -473,3 +475,121 @@ class TestRecordProperties:
         except RecordFormatError:
             return
         assert isinstance(data, ExperimentData)
+
+
+
+def _reference_records(data: ExperimentData) -> str:
+    """A record file as per-line ``json.dumps(sort_keys=True)`` writes it."""
+    header = {"format": "rm-records", "format_version": 1, "n": data.n,
+              "state_label": data.state_label, "bit_order": "msb-first"}
+    if data.seed is not None:
+        header["seed"] = data.seed
+    lines = [json.dumps(header, sort_keys=True)]
+    for ids, row in zip(data.clifford_ids, data.counts):
+        counts = {format(b, f"0{data.n}b"): int(row[b]) for b in np.flatnonzero(row)}
+        unit = {"counts": counts, "clifford_ids": ids.tolist()}
+        lines.append(json.dumps(unit, sort_keys=True))
+    return "".join(line + "\n" for line in lines)
+
+
+def _read_or_error(source) -> ExperimentData | str:
+    try:
+        return read_records(source)
+    except RecordFormatError as exc:
+        return str(exc)
+
+
+def _read_per_key(source) -> ExperimentData | str:
+    """``read_records`` with every unit line judged by ``_parse_unit`` alone."""
+    with mock.patch.object(recordio, "_checked_unit", lambda *args: None):
+        return _read_or_error(source)
+
+
+class TestRecordCodec:
+    """The direct line writer against ``json.dumps``, and the reader's
+    whole-line gate against the per-key parse behind it."""
+
+    @staticmethod
+    @st.composite
+    def sparse_experiments(draw):
+        """Up to 12 qubits; each row a few nonzero counts up to 2**40, or none."""
+        n = draw(st.integers(1, MAX_QUBITS))
+        units = draw(st.integers(1, 4))
+        counts = np.zeros((units, 2**n), dtype=np.int64)
+        for row in counts:
+            hits = draw(st.dictionaries(
+                st.integers(0, 2**n - 1), st.integers(1, 3) | st.integers(1, 2**40),
+                max_size=6,
+            ))
+            row[list(hits)] = list(hits.values())
+        return ExperimentData(
+            n=n,
+            state_label=draw(st.text(min_size=1, max_size=8)),
+            clifford_ids=draw(
+                hnp.arrays(np.int64, (units, n), elements=st.integers(0, 23))
+            ),
+            counts=counts,
+            seed=draw(st.none() | st.integers(-(2**70), 2**70)),
+        )
+
+    @PROPERTY
+    @given(sparse_experiments())
+    def test_writer_matches_json_dumps(self, data):
+        buf = io.StringIO()
+        write_records(data, buf)
+        assert buf.getvalue() == _reference_records(data)
+
+    def test_writer_matches_json_dumps_on_dense_rows(self):
+        counts = np.zeros((3, 2**12), dtype=np.int64)
+        counts[0] = np.arange(2**12) % 7
+        counts[2, [0, 1, 2**11, 2**12 - 1]] = [2**40, 1, 2**40 - 1, 3]
+        ids = np.arange(36).reshape(3, 12) % 24
+        data = ExperimentData(n=12, state_label="x", clifford_ids=ids, counts=counts)
+        buf = io.StringIO()
+        write_records(data, buf)
+        assert buf.getvalue() == _reference_records(data)
+        assert buf.getvalue().splitlines()[2].endswith('"counts": {}}')
+
+    def test_valid_lines_pass_the_gate(self):
+        buf = io.StringIO()
+        write_records(_sample_data(), buf)
+        buf.seek(0)
+        with mock.patch.object(recordio, "_parse_unit", side_effect=AssertionError):
+            assert read_records(buf) == _sample_data()
+
+    @settings(PROPERTY, max_examples=600)
+    @given(TestRecordProperties.record_files())
+    def test_gate_agrees_with_the_per_key_parse(self, text):
+        assert _read_or_error(io.StringIO(text)) == _read_per_key(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "line, want",
+        [
+            (b'{"clifford_ids": [0, 1], "counts": {"00": 3, "00": 5, "11": 1}}',
+             "line 3: repeated key '00'"),
+            (b'{"clifford_ids": [0, 1], "counts": {"00": 4}, "clifford_ids": [2, 3]}',
+             "line 3: repeated key 'clifford_ids'"),
+            (b'{"clifford_ids": [0, 1], "counts": {"\\u0030\\u0031": 4}}',
+             [0, 4, 0, 0]),
+            (b'{"clifford_ids": [0, 1], "counts": {"01": 4, "\\u0030\\u0031": 2}}',
+             "line 3: repeated key '01'"),
+            (b'{"clifford_ids": [0, 1], "counts": {"00": true}}',
+             "line 3: count for '00' must be a positive integer"),
+            (b'{"clifford_ids": [0, 1], "counts": {"0\xc3\x28": 1}}',
+             "line 3: bytes that are not UTF-8"),
+        ],
+    )
+    def test_named_lines_keep_their_result(self, tmp_path, line, want):
+        buf = io.StringIO()
+        write_records(_sample_data(), buf)
+        lines = [row.encode() for row in buf.getvalue().splitlines()]
+        lines[2] = line
+        path = tmp_path / "named.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        got = _read_or_error(path)
+        assert got == _read_per_key(path)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.counts[1].tolist() == want
+            assert got.clifford_ids[1].tolist() == [0, 1]
