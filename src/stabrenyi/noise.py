@@ -27,10 +27,11 @@ import numpy as np
 from .cliffords import CLIFFORD_1Q, N_CLIFFORD
 from .oracle import (
     _PAULIS_1Q,
+    PauliTable,
     _pauli_digits,
+    _stab_purity_of,
     pauli_table,
     purity_exact,
-    stab_purity_exact,
     word_statistics,
 )
 from .states import (
@@ -304,18 +305,24 @@ def w_epsilon(state: StateVector | MixedState, epsilon: float) -> float:
     (beta^{xn} t)_m, so W_eps = sum_m prod_i mu_{m_i} (beta^{xn} t)_m^4: apply
     beta along every axis of t, take fourth powers, contract each axis with mu.
     """
-    n = state.n
+    return _w_epsilon_of(pauli_table(state), epsilon)
+
+
+def _w_epsilon_of(pauli: PauliTable, epsilon: float) -> float:
+    """w_epsilon from the state's Pauli table; eps = 0 gives exactly W."""
+    n = pauli.n
     if n > MAX_CONTRACTION_QUBITS:
         raise ValueError(f"w_epsilon limited to n <= {MAX_CONTRACTION_QUBITS}")
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon={epsilon} must be finite")
     if float(epsilon) == 0.0:
-        return stab_purity_exact(state)
+        return _stab_purity_of(pauli)
     beta, mu = _q1_epsilon_rows(float(epsilon))
-    table = pauli_table(state).values.reshape((4,) * n)
+    table = pauli.values.reshape((4,) * n)
     for _ in range(n):
         table = np.tensordot(table, beta, axes=([0], [1]))
-    table = table**4
+    table *= table  # a fresh tensordot result: square it in place, twice
+    table *= table
     for _ in range(n):
         table = table @ mu
     return float(table)
@@ -417,9 +424,9 @@ def corrected_w(
 
     W_corr = (W_exp - Omega)/g(eps) with Omega = W_eps(psi_p) - g(eps) W(psi_p).
     """
-    rho_p = prep_channel(state, p)
+    table = pauli_table(prep_channel(state, p))
     g = g_factor(epsilon, state.n)
-    omega = w_epsilon(rho_p, epsilon) - g * stab_purity_exact(rho_p)
+    omega = _w_epsilon_of(table, epsilon) - g * _stab_purity_of(table)
     return (w_exp - omega) / g
 
 
@@ -431,8 +438,9 @@ def predict_noisy_observables(
     Returns W(psi_p), P(psi_p), their ratio, W_eps(psi_p), g(eps), Omega.
     """
     rho_p = prep_channel(state, p)
-    w_eps = w_epsilon(rho_p, epsilon)
-    w_noisy = stab_purity_exact(rho_p)
+    table = pauli_table(rho_p)
+    w_eps = _w_epsilon_of(table, epsilon)
+    w_noisy = _stab_purity_of(table)
     purity_noisy = purity_exact(rho_p)
     g = g_factor(epsilon, state.n)
     return {
@@ -449,8 +457,8 @@ def readout_dressed_purity(state: StateVector | MixedState, q: float) -> float:
     """Expected protocol purity of a state measured through readout flips:
     d^{-1} sum_P (2q-1)^{2|P|} tr(P rho)^2, with |P| the support size."""
     table = pauli_table(state)
-    eta = (2.0 * q - 1.0) ** 2
-    weights = eta ** table.support_sizes().astype(float)
+    eta = (2.0 * q - 1.0) ** 2  # Python float powers: numpy's array pow varies by CPU
+    weights = np.array([eta**k for k in range(state.n + 1)])[table.support_sizes()]
     return float(np.sum(weights * table.values**2)) / 2**state.n
 
 
@@ -464,7 +472,8 @@ def _dressed_purity_coefficients(
     """
     digits = _pauli_digits(state.n)
     c = 1.0 - 2.0 * np.count_nonzero((digits == 1) | (digits == 2), axis=1) / state.n
-    w = ((2.0 * q - 1.0) ** 2) ** np.count_nonzero(digits, axis=1).astype(float)
+    eta = (2.0 * q - 1.0) ** 2  # indexed Python powers, as in readout_dressed_purity
+    w = np.array([eta**k for k in range(state.n + 1)])[np.count_nonzero(digits, axis=1)]
     w *= pauli_table(state).values ** 2 / 2**state.n
     return float(w @ (1.0 - c) ** 2), 2.0 * float(w @ (c * (1.0 - c))), float(w @ c**2)
 
@@ -543,7 +552,9 @@ def haar_channel_stats(
         sd = np.array(["IXYZ".index(ch) for ch in string])
         anti = (sd != 0) & (digits != 0) & (digits != sd[None, :])
         signed += qi * (-1.0) ** anti.sum(axis=1)
-    x_stat = float(np.sum(signed**4))
+    fourth = signed * signed
+    fourth *= fourth
+    x_stat = float(np.sum(fourth))
     mean_purity = (d * float(np.sum(q**2)) + 1.0) / (d + 1.0)
     mean_w = (d**2 + 6 * d + 8 + 3 * x_stat + 6 * x_stat / d) / (
         d * (d + 1) * (d + 2) * (d + 3)

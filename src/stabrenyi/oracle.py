@@ -122,11 +122,17 @@ def pauli_table(state: StateVector | MixedState) -> PauliTable:
     return PauliTable(n=n, values=values.real.copy())
 
 
+def _stab_purity_of(table: PauliTable) -> float:
+    """sum_P t_P^4 / 4**n, each fourth power a squared square: IEEE products
+    round alike on every CPU, where numpy's array pow does not."""
+    fourth = table.values * table.values
+    fourth *= fourth
+    return float(np.sum(fourth)) / 4**table.n
+
+
 def stab_purity_exact(state: StateVector | MixedState) -> float:
     """Stabilizer purity W(rho) = d^{-2} sum_P tr(P rho)^4."""
-    table = pauli_table(state)
-    d = 2**table.n
-    return float(np.sum(table.values**4)) / d**2
+    return _stab_purity_of(pauli_table(state))
 
 
 def purity_exact(state: StateVector | MixedState) -> float:

@@ -135,10 +135,11 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 def _parse_json_line(line: str, lineno: int) -> dict[str, Any]:
     try:
         obj = json.loads(line, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
-        raise RecordFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
     except RecordFormatError as exc:
         raise RecordFormatError(f"line {lineno}: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # also too many digits, deep nesting
+        reason = getattr(exc, "msg", exc)
+        raise RecordFormatError(f"line {lineno}: invalid JSON ({reason})") from exc
     if not isinstance(obj, dict):
         raise RecordFormatError(f"line {lineno}: expected a JSON object")
     return obj
@@ -188,7 +189,7 @@ def _checked_unit(text: str, n: int, columns: dict[str, int]):
               and min(values, default=1) > 0 and sum(values) <= _INT64_MAX
               and text.count('"') == 4 + 2 * len(values))
         return (ids, [columns[bits] for bits in counts], values) if ok else None
-    except (ValueError, LookupError, TypeError, AttributeError):
+    except (ValueError, LookupError, TypeError, AttributeError, RecursionError):
         return None
 
 
@@ -314,10 +315,12 @@ def read_report(path_or_file: str | Path | IO[str]) -> dict[str, Any]:
         text = "".join(_utf8_lines(handle))
         try:
             doc = json.loads(text, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
-            raise RecordFormatError(
-                f"line {exc.lineno}: invalid JSON ({exc.msg})"
-            ) from exc
+        except RecordFormatError:
+            raise
+        except (ValueError, RecursionError) as exc:  # only a JSONDecodeError has a line
+            where = f"line {exc.lineno}: " if hasattr(exc, "lineno") else ""
+            reason = getattr(exc, "msg", exc)
+            raise RecordFormatError(f"{where}invalid JSON ({reason})") from exc
     if not isinstance(doc, dict) or doc.get("format") != REPORT_FORMAT:
         raise RecordFormatError(f"not a {REPORT_FORMAT!r} document")
     return doc

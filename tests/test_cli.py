@@ -565,6 +565,25 @@ class TestExitCodes:
         code, _ = _run(capsys, "estimate", "--records", str(bad))
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "line",
+        ['{"clifford_ids": [0], "counts": {"0": 1' + "0" * 4999 + "}}", "[" * 100_000],
+        ids=["5000-digit count", "100000 brackets"],
+    )
+    def test_record_line_that_breaks_json_is_3_and_named(self, capsys, tmp_path, line):
+        # once exit 5 (int digit limit) and exit 1 (RecursionError traceback)
+        good = tmp_path / "good.jsonl"
+        _run(capsys, "simulate", "--state", "zero", "--n", "1", "--nu", "3",
+             "--nm", "8", "--seed", "0", "--out", str(good))
+        lines = good.read_text().splitlines()
+        lines[2] = line
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["estimate", "--records", str(bad)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("error: line 3: invalid JSON (") and err.count("\n") == 1
+
     def test_records_that_are_not_utf8_are_3(self, capsys, tmp_path, monkeypatch):
         good = tmp_path / "good.jsonl"
         _run(capsys, "simulate", "--state", "zero", "--n", "1", "--nu", "3",

@@ -1,5 +1,5 @@
 """Frozen sha256 digests of ``stabrenyi simulate`` record files and of
-``stabrenyi estimate``, ``fit-noise`` and ``calibrate`` reports.
+``stabrenyi estimate``, ``fit-noise``, ``calibrate`` and ``predict`` reports.
 
 For a fixed seed a record file must stay byte-identical: the Clifford words,
 the RNG draws, the count keys and their order, and the JSON layout all feed
@@ -13,6 +13,8 @@ taken before experiment data moved from per-unit count dicts to arrays; they
 gate the whole read -> estimate path, down to the last printed digit.  The
 fit-noise digest was re-pinned once, for the closed-form p solve, after its
 values had been pinned as literals: p moved by 1e-13, p_err by 1e-11 relative.
+The predict digest was taken while the oracles still raised their Pauli
+spectra to the fourth power with numpy's ``pow``, before they squared twice.
 """
 
 from __future__ import annotations
@@ -91,6 +93,10 @@ FIT_NOISE_DIGEST = "3a203b922a56cc78f27903492f17df3afc3b4dec808d256bc9b79135974b
 #: gamma 3-4 on a 2x2 grid, 3 trials, plugin: every cell's spread and purity
 #: deviation, and the selected cell, are pinned to the byte.
 CALIBRATE_DIGEST = "6063cb3be0f2a31a435bd05749d18e3e395537f9a7b7c677e3c01e880d6ca8c9"
+
+#: predict --state gamma --n 5 --t 6 --p 0.9 --eps 0.3: the exact W_eps, W,
+#: purity and Omega of the noise model, pinned to the last printed digit.
+PREDICT_DIGEST = "55d010d25fcaef7b94fc2bfbf0d3c22aeb86f6eb4729e3e17825e46900b3d6ac"
 
 
 RECORD_CASES = [pytest.param(a, d, id=name) for name, a, d in GOLDEN_RECORDS]
@@ -176,3 +182,11 @@ def test_calibrate_report_bytes_are_frozen(tmp_path):
             "--method", "plugin", "--out", str(out)]
     assert main(argv) == EXIT_OK
     assert _digest(out) == CALIBRATE_DIGEST
+
+
+def test_predict_report_bytes_are_frozen(tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["predict", "--state", "gamma", "--n", "5", "--t", "6", "--p", "0.9",
+            "--eps", "0.3", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert _digest(out) == PREDICT_DIGEST

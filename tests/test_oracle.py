@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,6 +114,14 @@ class TestAnchors:
         )
         assert abs(purity_exact(mix) - 0.5) < 1e-14
         assert abs(stabilizer_renyi(mix, 2.0)) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_stab_purity_matches_an_exact_sum_of_fourth_powers(self, n):
+        state = haar_random_state(n, seed=n)
+        values = pauli_table(state).values
+        exact = sum(Fraction(float(t)) ** 4 for t in values) / 4**n
+        got = stab_purity_exact(state)
+        assert abs(Fraction(got) - exact) <= Fraction(1, 10**15) * exact
 
 
 def pauli_z_flip() -> StateVector:

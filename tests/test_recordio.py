@@ -249,6 +249,15 @@ class TestRecordErrors:
         with pytest.raises(RecordFormatError, match="repeated key 'format'"):
             read_report(io.StringIO('{"format": "rm-report", "format": "rm-report"}'))
 
+    @pytest.mark.parametrize(
+        "doc",
+        ['{"format": "rm-report", "n": 1' + "0" * 4999 + "}", "[" * 100_000],
+        ids=["5000-digit integer", "100000 brackets"],
+    )
+    def test_report_that_breaks_json_rejected(self, doc):
+        with pytest.raises(RecordFormatError, match="invalid JSON"):
+            read_report(io.StringIO(doc))
+
     def test_too_many_qubits_rejected_on_header(self):
         lines = self._lines()
         header = json.loads(lines[0])
